@@ -1,6 +1,9 @@
 package rv32
 
 import (
+	"encoding/binary"
+	"math"
+
 	"vpdift/internal/core"
 	"vpdift/internal/cover"
 	"vpdift/internal/flight"
@@ -90,11 +93,8 @@ type Core struct {
 	Cov *cover.Cover
 
 	// FR, when non-nil, is the always-on flight recorder: one compressed
-	// record per retire, captured post-switch (see flightcap.go). frAddr is
-	// the last load/store effective address, stashed by load/store because
-	// the post-switch capture cannot recompute it once rd aliased rs1.
-	FR     *flight.Recorder
-	frAddr uint32
+	// record per retire, captured post-switch (see flightcap.go).
+	FR *flight.Recorder
 }
 
 // NewCore builds a baseline core over plain RAM and a bus for MMIO. The
@@ -136,27 +136,6 @@ func (c *Core) SetIRQ(line uint32, level bool) {
 // PendingIRQ reports whether any enabled interrupt is pending (regardless of
 // the global MIE bit) — the WFI wake-up condition.
 func (c *Core) PendingIRQ() bool { return c.mie&c.mip != 0 }
-
-// Run executes up to max instructions. It returns early on WFI with no
-// pending interrupt, on halt, or on an error (bus error, unhandled trap).
-// Timing annotations of MMIO transactions accumulate into delay.
-func (c *Core) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err error) {
-	for n < max {
-		if c.Halted {
-			return n, RunHalt, nil
-		}
-		st, err = c.step(delay)
-		if err != nil {
-			return n, st, err
-		}
-		n++
-		c.Instret++
-		if st != RunOK {
-			return n, st, nil
-		}
-	}
-	return n, RunOK, nil
-}
 
 // takeIRQ enters the highest-priority pending enabled interrupt, if the
 // global enable allows. Finding nothing takeable clears irqPoll; the events
@@ -206,282 +185,361 @@ func (c *Core) trap(cause, tval, epc uint32) error {
 	return nil
 }
 
+// trapCause gives the trap arguments (cause, tval, epc) for the synchronous
+// trap raised by executing op at pc: ECALL, EBREAK, or the undecodable word
+// w.
+func trapCause(op Op, w, pc uint32) (cause, tval, epc uint32) {
+	switch op {
+	case OpECALL:
+		return CauseECallM, 0, pc
+	case OpEBREAK:
+		return CauseBreakpoint, 0, pc
+	}
+	return CauseIllegalInstr, w, pc
+}
+
 // fetchWord assembles the little-endian instruction word at RAM offset off;
 // the caller guarantees off+4 <= ramSize.
 func (c *Core) fetchWord(off uint32) uint32 {
 	return uint32(c.ram[off]) | uint32(c.ram[off+1])<<8 | uint32(c.ram[off+2])<<16 | uint32(c.ram[off+3])<<24
 }
 
-func (c *Core) step(delay *kernel.Time) (RunStatus, error) {
-	if c.irqPoll {
-		if taken, err := c.takeIRQ(); err != nil {
-			return RunOK, err
-		} else if taken {
-			return RunOK, nil
-		}
-	}
-
-	pc := c.PC
-	off := pc - c.ramBase
-	var i Inst
-	var w uint32
-	if idx := int(off >> 2); off&3 == 0 && idx < len(c.ic.ents) {
-		e := &c.ic.ents[idx]
-		if e.state != 0 {
-			i = e.inst
-			w = e.word
-			if c.Tracer != nil {
-				c.Tracer(pc, w)
-			}
-			if c.Retire != nil {
-				c.Retire(pc, w)
-			}
-			if c.Obs != nil {
-				c.Obs.BeginInsn(pc, w)
-			}
-		} else {
-			w = c.fetchWord(off)
-			if c.Tracer != nil {
-				c.Tracer(pc, w)
-			}
-			if c.Retire != nil {
-				c.Retire(pc, w)
-			}
-			if c.Obs != nil {
-				c.Obs.BeginInsn(pc, w)
-			}
-			i = Decode(w)
-			e.inst = i
-			e.word = w
-			e.state = icValid
-			c.ic.noteFill(off)
-		}
-	} else {
-		// Misaligned PC, fetch outside RAM, or the decode cache is off.
-		if off >= c.ramSize || off+4 > c.ramSize {
-			return RunOK, &BusError{What: "instruction fetch outside RAM", Addr: pc, PC: pc}
-		}
-		c.uncachedFetch++
-		w = c.fetchWord(off)
-		if c.Tracer != nil {
-			c.Tracer(pc, w)
-		}
-		if c.Retire != nil {
-			c.Retire(pc, w)
-		}
-		if c.Obs != nil {
-			c.Obs.BeginInsn(pc, w)
-		}
-		i = Decode(w)
-	}
-
-	next := pc + 4
-	switch i.Op {
-	case OpLUI:
-		c.set(i.Rd, uint32(i.Imm))
-	case OpAUIPC:
-		c.set(i.Rd, pc+uint32(i.Imm))
-	case OpJAL:
-		c.set(i.Rd, next)
-		next = pc + uint32(i.Imm)
-	case OpJALR:
-		t := (c.Regs[i.Rs1] + uint32(i.Imm)) &^ 1
-		c.set(i.Rd, next)
-		next = t
-	case OpBEQ:
-		if c.Regs[i.Rs1] == c.Regs[i.Rs2] {
-			next = pc + uint32(i.Imm)
-		}
-	case OpBNE:
-		if c.Regs[i.Rs1] != c.Regs[i.Rs2] {
-			next = pc + uint32(i.Imm)
-		}
-	case OpBLT:
-		if int32(c.Regs[i.Rs1]) < int32(c.Regs[i.Rs2]) {
-			next = pc + uint32(i.Imm)
-		}
-	case OpBGE:
-		if int32(c.Regs[i.Rs1]) >= int32(c.Regs[i.Rs2]) {
-			next = pc + uint32(i.Imm)
-		}
-	case OpBLTU:
-		if c.Regs[i.Rs1] < c.Regs[i.Rs2] {
-			next = pc + uint32(i.Imm)
-		}
-	case OpBGEU:
-		if c.Regs[i.Rs1] >= c.Regs[i.Rs2] {
-			next = pc + uint32(i.Imm)
-		}
-	case OpLB:
-		v, err := c.load(c.Regs[i.Rs1]+uint32(i.Imm), 1, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, uint32(int32(v<<24)>>24))
-	case OpLH:
-		v, err := c.load(c.Regs[i.Rs1]+uint32(i.Imm), 2, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, uint32(int32(v<<16)>>16))
-	case OpLW:
-		v, err := c.load(c.Regs[i.Rs1]+uint32(i.Imm), 4, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, v)
-	case OpLBU:
-		v, err := c.load(c.Regs[i.Rs1]+uint32(i.Imm), 1, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, v)
-	case OpLHU:
-		v, err := c.load(c.Regs[i.Rs1]+uint32(i.Imm), 2, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, v)
-	case OpSB:
-		if err := c.store(c.Regs[i.Rs1]+uint32(i.Imm), c.Regs[i.Rs2], 1, delay, pc); err != nil {
-			return RunOK, err
-		}
-	case OpSH:
-		if err := c.store(c.Regs[i.Rs1]+uint32(i.Imm), c.Regs[i.Rs2], 2, delay, pc); err != nil {
-			return RunOK, err
-		}
-	case OpSW:
-		if err := c.store(c.Regs[i.Rs1]+uint32(i.Imm), c.Regs[i.Rs2], 4, delay, pc); err != nil {
-			return RunOK, err
-		}
-	case OpADDI:
-		c.set(i.Rd, c.Regs[i.Rs1]+uint32(i.Imm))
-	case OpSLTI:
-		c.set(i.Rd, b2u(int32(c.Regs[i.Rs1]) < i.Imm))
-	case OpSLTIU:
-		c.set(i.Rd, b2u(c.Regs[i.Rs1] < uint32(i.Imm)))
-	case OpXORI:
-		c.set(i.Rd, c.Regs[i.Rs1]^uint32(i.Imm))
-	case OpORI:
-		c.set(i.Rd, c.Regs[i.Rs1]|uint32(i.Imm))
-	case OpANDI:
-		c.set(i.Rd, c.Regs[i.Rs1]&uint32(i.Imm))
-	case OpSLLI:
-		c.set(i.Rd, c.Regs[i.Rs1]<<uint(i.Imm))
-	case OpSRLI:
-		c.set(i.Rd, c.Regs[i.Rs1]>>uint(i.Imm))
-	case OpSRAI:
-		c.set(i.Rd, uint32(int32(c.Regs[i.Rs1])>>uint(i.Imm)))
-	case OpADD:
-		c.set(i.Rd, c.Regs[i.Rs1]+c.Regs[i.Rs2])
-	case OpSUB:
-		c.set(i.Rd, c.Regs[i.Rs1]-c.Regs[i.Rs2])
-	case OpSLL:
-		c.set(i.Rd, c.Regs[i.Rs1]<<(c.Regs[i.Rs2]&31))
-	case OpSLT:
-		c.set(i.Rd, b2u(int32(c.Regs[i.Rs1]) < int32(c.Regs[i.Rs2])))
-	case OpSLTU:
-		c.set(i.Rd, b2u(c.Regs[i.Rs1] < c.Regs[i.Rs2]))
-	case OpXOR:
-		c.set(i.Rd, c.Regs[i.Rs1]^c.Regs[i.Rs2])
-	case OpSRL:
-		c.set(i.Rd, c.Regs[i.Rs1]>>(c.Regs[i.Rs2]&31))
-	case OpSRA:
-		c.set(i.Rd, uint32(int32(c.Regs[i.Rs1])>>(c.Regs[i.Rs2]&31)))
-	case OpOR:
-		c.set(i.Rd, c.Regs[i.Rs1]|c.Regs[i.Rs2])
-	case OpAND:
-		c.set(i.Rd, c.Regs[i.Rs1]&c.Regs[i.Rs2])
-	case OpMUL:
-		c.set(i.Rd, c.Regs[i.Rs1]*c.Regs[i.Rs2])
-	case OpMULH:
-		c.set(i.Rd, uint32(uint64(int64(int32(c.Regs[i.Rs1]))*int64(int32(c.Regs[i.Rs2])))>>32))
-	case OpMULHSU:
-		c.set(i.Rd, uint32(uint64(int64(int32(c.Regs[i.Rs1]))*int64(c.Regs[i.Rs2]))>>32))
-	case OpMULHU:
-		c.set(i.Rd, uint32(uint64(c.Regs[i.Rs1])*uint64(c.Regs[i.Rs2])>>32))
-	case OpDIV:
-		c.set(i.Rd, divS(c.Regs[i.Rs1], c.Regs[i.Rs2]))
-	case OpDIVU:
-		c.set(i.Rd, divU(c.Regs[i.Rs1], c.Regs[i.Rs2]))
-	case OpREM:
-		c.set(i.Rd, remS(c.Regs[i.Rs1], c.Regs[i.Rs2]))
-	case OpREMU:
-		c.set(i.Rd, remU(c.Regs[i.Rs1], c.Regs[i.Rs2]))
-	case OpFENCE:
-		// No-op: the memory model is sequentially consistent.
-	case OpFENCEI:
-		// Explicit fetch/store synchronization point: drop every predecoded
-		// entry. (Stores already invalidate eagerly; FENCE.I additionally
-		// pins the architectural contract for self-modifying code.)
-		c.ic.invalidateAll()
-	case OpECALL:
-		return RunOK, c.trap(CauseECallM, 0, pc)
-	case OpEBREAK:
-		return RunOK, c.trap(CauseBreakpoint, 0, pc)
-	case OpMRET:
-		// MIE <- MPIE; MPIE <- 1.
-		if c.mstatus&MstatusMPIE != 0 {
-			c.mstatus |= MstatusMIE
-		} else {
-			c.mstatus &^= MstatusMIE
-		}
-		c.mstatus |= MstatusMPIE
-		c.irqPoll = true
-		next = c.mepc
-	case OpWFI:
-		if !c.PendingIRQ() {
-			c.PC = next
-			return RunWFI, nil
-		}
-	case OpCSRRW, OpCSRRS, OpCSRRC, OpCSRRWI, OpCSRRSI, OpCSRRCI:
-		if err := c.csrOp(i, pc); err != nil {
-			return RunOK, err
-		}
-		// csrOp may have trapped (illegal CSR) and replaced PC.
-		if c.PC != pc {
-			return RunOK, nil
-		}
-	default:
-		return RunOK, c.trap(CauseIllegalInstr, c.fetchWord(off), pc)
-	}
-	if c.Cov != nil {
-		c.coverStep(pc, off, next)
-	}
-	if c.FR != nil {
-		// Flight capture, hand-inlined (see flightcap.go).
-		fl := flightFlags[i.Op]
-		if next != pc+4 {
-			fl |= flight.FlagTaken
-		}
-		var faddr uint32
-		if fl&(flight.FlagLoad|flight.FlagStore) != 0 {
-			faddr = c.frAddr
-		}
-		rec := c.FR.Slot()
-		rec.Time = c.Instret
-		rec.PC = pc
-		rec.Insn = w
-		rec.Addr = faddr
-		rec.Aux = 0
-		rec.Kind = flight.KindRetire
-		rec.Flags = fl
-	}
-	if c.PC == pc { // not redirected by a trap inside the switch
-		c.PC = next
-	}
-	return RunOK, nil
+// fill decodes the word at RAM offset off into e: the slow half of the
+// fetch, taken on a decode-cache miss (and on every fetch when the cache is
+// off or the PC is misaligned).
+func (c *Core) fill(e *icEntry, off uint32) {
+	w := c.fetchWord(off)
+	e.inst, e.word, e.state = Decode(w), w, icValid
 }
 
-// coverStep feeds the coverage views for one retired instruction. Called
-// from step behind a single `c.Cov != nil` guard, so the disabled hot loop
-// pays exactly one predictable branch; the raw word is refetched only on
-// the enabled path. Violating or trapping instructions return from step
-// early and are not counted — the platform attributes terminal violations
-// through the policy audit instead.
-func (c *Core) coverStep(pc, off, next uint32) {
+// memSize gives each load/store opcode its access width in bytes.
+var memSize = [numOps]uint8{
+	OpLB: 1, OpLBU: 1, OpSB: 1,
+	OpLH: 2, OpLHU: 2, OpSH: 2,
+	OpLW: 4, OpSW: 4,
+}
+
+// Run executes up to max instructions. It returns early on WFI with no
+// pending interrupt, on halt, or on an error (bus error, unhandled trap).
+// Timing annotations of MMIO transactions accumulate into delay.
+//
+// Run is the core's whole retire path in one loop: halt and interrupt
+// checks, fetch through the decode cache, execute, and retire. pc and
+// instret live in locals. Every outlined call in the loop — takeIRQ, the
+// decode-cache fill, the hooks, the MMIO path (whose bus trace hook stamps
+// records with Instret), csrOp, trap — is bracketed the same way: write pc
+// and instret back to c.PC/c.Instret before it, reload them after it. The
+// callee sees exact state (and may redirect c.PC), and neither local is
+// live across a call: Go's calling convention preserves no registers, so a
+// loop value live across any call would be spilled at the loop head on
+// every iteration. Every fetch re-reads its decode-cache entry, so a store
+// that invalidates the next instruction's entry is seen at once.
+func (c *Core) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err error) {
+	// One flag gates every per-retire hook; the flight recorder, always on
+	// in production, keeps its own guard.
+	hooked := c.Tracer != nil || c.Retire != nil || c.Obs != nil || c.Cov != nil
+	start := c.Instret
+	end := start + max
+	if end < start {
+		end = math.MaxUint64
+	}
+	pc, instret := c.PC, start
+	var scratch icEntry // decode target for fetches the cache cannot hold
+	for ; instret < end; instret++ {
+		if c.Halted {
+			return c.exit(pc, instret, start, RunHalt, nil)
+		}
+		if c.irqPoll {
+			c.PC, c.Instret = pc, instret
+			taken, err := c.takeIRQ()
+			pc, instret = c.PC, c.Instret
+			if err != nil {
+				return c.exit(pc, instret, start, RunOK, err)
+			}
+			if taken {
+				// Interrupt entry retires as one instruction: it counts
+				// once in n (so once in InstrTime) and once in Instret,
+				// with no retire record or coverage event. Instret figures,
+				// the decode-cache hit count derived from them and the
+				// goldens all depend on this accounting.
+				continue
+			}
+		}
+
+		off := pc - c.ramBase
+		e := &scratch
+		if idx := int(off >> 2); off&3 == 0 && idx < len(c.ic.ents) {
+			e = &c.ic.ents[idx]
+			if e.state == 0 {
+				c.PC, c.Instret = pc, instret
+				c.fill(e, off)
+				c.ic.noteFill(off)
+				pc, instret = c.PC, c.Instret
+			}
+		} else {
+			// Misaligned PC, fetch outside RAM, or the decode cache is off.
+			if off >= c.ramSize || off+4 > c.ramSize {
+				err := &BusError{What: "instruction fetch outside RAM", Addr: pc, PC: pc}
+				return c.exit(pc, instret, start, RunOK, err)
+			}
+			c.uncachedFetch++
+			c.PC, c.Instret = pc, instret
+			c.fill(e, off)
+			pc, instret = c.PC, c.Instret
+		}
+		i, w := e.inst, e.word
+		if hooked {
+			c.PC, c.Instret = pc, instret
+			c.fetchHooks(pc, w)
+			pc, instret = c.PC, c.Instret
+		}
+
+		var faddr uint32 // load/store effective address for the flight record, else 0
+		next := pc + 4
+		switch i.Op {
+		case OpLUI:
+			c.set(i.Rd, uint32(i.Imm))
+		case OpAUIPC:
+			c.set(i.Rd, pc+uint32(i.Imm))
+		case OpJAL:
+			c.set(i.Rd, next)
+			next = pc + uint32(i.Imm)
+		case OpJALR:
+			t := (c.Regs[i.Rs1] + uint32(i.Imm)) &^ 1
+			c.set(i.Rd, next)
+			next = t
+		case OpBEQ:
+			if c.Regs[i.Rs1] == c.Regs[i.Rs2] {
+				next = pc + uint32(i.Imm)
+			}
+		case OpBNE:
+			if c.Regs[i.Rs1] != c.Regs[i.Rs2] {
+				next = pc + uint32(i.Imm)
+			}
+		case OpBLT:
+			if int32(c.Regs[i.Rs1]) < int32(c.Regs[i.Rs2]) {
+				next = pc + uint32(i.Imm)
+			}
+		case OpBGE:
+			if int32(c.Regs[i.Rs1]) >= int32(c.Regs[i.Rs2]) {
+				next = pc + uint32(i.Imm)
+			}
+		case OpBLTU:
+			if c.Regs[i.Rs1] < c.Regs[i.Rs2] {
+				next = pc + uint32(i.Imm)
+			}
+		case OpBGEU:
+			if c.Regs[i.Rs1] >= c.Regs[i.Rs2] {
+				next = pc + uint32(i.Imm)
+			}
+		case OpLB, OpLH, OpLW, OpLBU, OpLHU:
+			addr := c.Regs[i.Rs1] + uint32(i.Imm)
+			faddr = addr
+			size := uint32(memSize[i.Op])
+			var v uint32
+			if a := addr - c.ramBase; a < c.ramSize && a+size <= c.ramSize {
+				switch size {
+				case 1:
+					v = uint32(c.ram[a])
+				case 2:
+					v = uint32(binary.LittleEndian.Uint16(c.ram[a:]))
+				default:
+					v = binary.LittleEndian.Uint32(c.ram[a:])
+				}
+			} else {
+				c.PC, c.Instret = pc, instret
+				var err error
+				v, err = c.loadBus(addr, size, delay, pc)
+				pc, instret = c.PC, c.Instret
+				if err != nil {
+					return c.exit(pc, instret, start, RunOK, err)
+				}
+			}
+			switch i.Op {
+			case OpLB:
+				v = uint32(int32(v<<24) >> 24)
+			case OpLH:
+				v = uint32(int32(v<<16) >> 16)
+			}
+			c.set(i.Rd, v)
+		case OpSB, OpSH, OpSW:
+			addr := c.Regs[i.Rs1] + uint32(i.Imm)
+			faddr = addr
+			size := uint32(memSize[i.Op])
+			v := c.Regs[i.Rs2]
+			if a := addr - c.ramBase; a < c.ramSize && a+size <= c.ramSize {
+				switch size {
+				case 1:
+					c.ram[a] = byte(v)
+				case 2:
+					binary.LittleEndian.PutUint16(c.ram[a:], uint16(v))
+				default:
+					binary.LittleEndian.PutUint32(c.ram[a:], v)
+				}
+				// Keep the decode cache coherent with self-modifying code.
+				// The watermark guard keeps the common data store at two
+				// compares.
+				if c.ic.overlaps(a, a+size) {
+					c.ic.invalidate(a, a+size)
+				}
+			} else {
+				c.PC, c.Instret = pc, instret
+				err := c.storeBus(addr, v, size, delay, pc)
+				pc, instret = c.PC, c.Instret
+				if err != nil {
+					return c.exit(pc, instret, start, RunOK, err)
+				}
+			}
+		case OpADDI:
+			c.set(i.Rd, c.Regs[i.Rs1]+uint32(i.Imm))
+		case OpSLTI:
+			c.set(i.Rd, b2u(int32(c.Regs[i.Rs1]) < i.Imm))
+		case OpSLTIU:
+			c.set(i.Rd, b2u(c.Regs[i.Rs1] < uint32(i.Imm)))
+		case OpXORI:
+			c.set(i.Rd, c.Regs[i.Rs1]^uint32(i.Imm))
+		case OpORI:
+			c.set(i.Rd, c.Regs[i.Rs1]|uint32(i.Imm))
+		case OpANDI:
+			c.set(i.Rd, c.Regs[i.Rs1]&uint32(i.Imm))
+		case OpSLLI:
+			c.set(i.Rd, c.Regs[i.Rs1]<<uint(i.Imm))
+		case OpSRLI:
+			c.set(i.Rd, c.Regs[i.Rs1]>>uint(i.Imm))
+		case OpSRAI:
+			c.set(i.Rd, uint32(int32(c.Regs[i.Rs1])>>uint(i.Imm)))
+		case OpADD:
+			c.set(i.Rd, c.Regs[i.Rs1]+c.Regs[i.Rs2])
+		case OpSUB:
+			c.set(i.Rd, c.Regs[i.Rs1]-c.Regs[i.Rs2])
+		case OpSLL:
+			c.set(i.Rd, c.Regs[i.Rs1]<<(c.Regs[i.Rs2]&31))
+		case OpSLT:
+			c.set(i.Rd, b2u(int32(c.Regs[i.Rs1]) < int32(c.Regs[i.Rs2])))
+		case OpSLTU:
+			c.set(i.Rd, b2u(c.Regs[i.Rs1] < c.Regs[i.Rs2]))
+		case OpXOR:
+			c.set(i.Rd, c.Regs[i.Rs1]^c.Regs[i.Rs2])
+		case OpSRL:
+			c.set(i.Rd, c.Regs[i.Rs1]>>(c.Regs[i.Rs2]&31))
+		case OpSRA:
+			c.set(i.Rd, uint32(int32(c.Regs[i.Rs1])>>(c.Regs[i.Rs2]&31)))
+		case OpOR:
+			c.set(i.Rd, c.Regs[i.Rs1]|c.Regs[i.Rs2])
+		case OpAND:
+			c.set(i.Rd, c.Regs[i.Rs1]&c.Regs[i.Rs2])
+		case OpMUL:
+			c.set(i.Rd, c.Regs[i.Rs1]*c.Regs[i.Rs2])
+		case OpMULH:
+			c.set(i.Rd, uint32(uint64(int64(int32(c.Regs[i.Rs1]))*int64(int32(c.Regs[i.Rs2])))>>32))
+		case OpMULHSU:
+			c.set(i.Rd, uint32(uint64(int64(int32(c.Regs[i.Rs1]))*int64(c.Regs[i.Rs2]))>>32))
+		case OpMULHU:
+			c.set(i.Rd, uint32(uint64(c.Regs[i.Rs1])*uint64(c.Regs[i.Rs2])>>32))
+		case OpDIV:
+			c.set(i.Rd, divS(c.Regs[i.Rs1], c.Regs[i.Rs2]))
+		case OpDIVU:
+			c.set(i.Rd, divU(c.Regs[i.Rs1], c.Regs[i.Rs2]))
+		case OpREM:
+			c.set(i.Rd, remS(c.Regs[i.Rs1], c.Regs[i.Rs2]))
+		case OpREMU:
+			c.set(i.Rd, remU(c.Regs[i.Rs1], c.Regs[i.Rs2]))
+		case OpFENCE:
+			// No-op: the memory model is sequentially consistent.
+		case OpFENCEI:
+			// Explicit fetch/store synchronization point: drop every predecoded
+			// entry. (Stores already invalidate eagerly; FENCE.I additionally
+			// pins the architectural contract for self-modifying code.)
+			c.ic.invalidateAll()
+		case OpMRET:
+			// MIE <- MPIE; MPIE <- 1.
+			if c.mstatus&MstatusMPIE != 0 {
+				c.mstatus |= MstatusMIE
+			} else {
+				c.mstatus &^= MstatusMIE
+			}
+			c.mstatus |= MstatusMPIE
+			c.irqPoll = true
+			next = c.mepc
+		case OpWFI:
+			if !c.PendingIRQ() {
+				return c.exit(next, instret+1, start, RunWFI, nil)
+			}
+		case OpCSRRW, OpCSRRS, OpCSRRC, OpCSRRWI, OpCSRRSI, OpCSRRCI:
+			c.PC, c.Instret = pc, instret
+			trapped, err := c.csrOp(i, pc)
+			pc, instret = c.PC, c.Instret
+			if err != nil {
+				return c.exit(pc, instret, start, RunOK, err)
+			}
+			if trapped { // illegal CSR: the trap replaced pc
+				continue
+			}
+		default:
+			// ECALL, EBREAK and undecodable words trap. A synchronous trap
+			// retires without a retire record or coverage event; the flight
+			// recorder marks the trap itself.
+			c.PC, c.Instret = pc, instret
+			err := c.trap(trapCause(i.Op, w, pc))
+			pc, instret = c.PC, c.Instret
+			if err != nil {
+				return c.exit(pc, instret, start, RunOK, err)
+			}
+			continue
+		}
+		if c.FR != nil {
+			// Flight capture, hand-inlined (see flightcap.go).
+			fl := flightFlags[i.Op]
+			if next != pc+4 {
+				fl |= flight.FlagTaken
+			}
+			rec := c.FR.Slot()
+			rec.Time = instret
+			rec.PC = pc
+			rec.Insn = w
+			rec.Addr = faddr // zero unless a load or store set it
+			rec.Aux = 0
+			rec.Kind = flight.KindRetire
+			rec.Flags = fl
+		}
+		if hooked && c.Cov != nil {
+			c.PC, c.Instret = pc, instret
+			c.coverStep(pc, w, next)
+			pc, instret = c.PC, c.Instret
+		}
+		pc = next
+	}
+	return c.exit(pc, instret, start, RunOK, nil)
+}
+
+// exit writes the loop's pc and instret back and forms Run's results.
+func (c *Core) exit(pc uint32, instret, start uint64, st RunStatus, err error) (uint64, RunStatus, error) {
+	c.PC, c.Instret = pc, instret
+	return instret - start, st, err
+}
+
+// fetchHooks runs the per-fetch hooks (tracer, profiler, observer) before
+// the instruction at pc with word w executes.
+func (c *Core) fetchHooks(pc, w uint32) {
+	if c.Tracer != nil {
+		c.Tracer(pc, w)
+	}
+	if c.Retire != nil {
+		c.Retire(pc, w)
+	}
+	if c.Obs != nil {
+		c.Obs.BeginInsn(pc, w)
+	}
+}
+
+// coverStep feeds the coverage views for one retired instruction, whose
+// executed word is w — not the RAM word at pc, which a store may have just
+// rewritten. Called from Run behind the hook flag; violating or trapping
+// instructions leave the loop before it and are not counted — the platform
+// attributes terminal violations through the policy audit instead.
+func (c *Core) coverStep(pc, w, next uint32) {
 	if g := c.Cov.Guest; g != nil {
-		g.OnRetire(pc, c.fetchWord(off), next)
+		g.OnRetire(pc, w, next)
 	}
 }
 
@@ -535,21 +593,9 @@ func remU(a, b uint32) uint32 {
 	return a % b
 }
 
-// load reads size bytes (1, 2 or 4) little-endian, zero-extended.
-func (c *Core) load(addr uint32, size uint32, delay *kernel.Time, pc uint32) (uint32, error) {
-	c.frAddr = addr
-	off := addr - c.ramBase
-	if off < c.ramSize && off+size <= c.ramSize {
-		switch size {
-		case 1:
-			return uint32(c.ram[off]), nil
-		case 2:
-			return uint32(c.ram[off]) | uint32(c.ram[off+1])<<8, nil
-		default:
-			return uint32(c.ram[off]) | uint32(c.ram[off+1])<<8 |
-				uint32(c.ram[off+2])<<16 | uint32(c.ram[off+3])<<24, nil
-		}
-	}
+// loadBus performs a load outside the RAM window as a TLM read of size
+// bytes (1, 2 or 4), little-endian, zero-extended.
+func (c *Core) loadBus(addr, size uint32, delay *kernel.Time, pc uint32) (uint32, error) {
 	p := tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
 	c.bus.Transport(&p, delay)
 	if p.Resp != tlm.OK {
@@ -562,21 +608,9 @@ func (c *Core) load(addr uint32, size uint32, delay *kernel.Time, pc uint32) (ui
 	return v, nil
 }
 
-// store writes size bytes (1, 2 or 4) little-endian.
-func (c *Core) store(addr, val uint32, size uint32, delay *kernel.Time, pc uint32) error {
-	c.frAddr = addr
-	off := addr - c.ramBase
-	if off < c.ramSize && off+size <= c.ramSize {
-		for j := uint32(0); j < size; j++ {
-			c.ram[off+j] = byte(val >> (8 * j))
-		}
-		// Keep the decode cache coherent with self-modifying code. The
-		// watermark guard keeps the common data store at two compares.
-		if c.ic.overlaps(off, off+size) {
-			c.ic.invalidate(off, off+size)
-		}
-		return nil
-	}
+// storeBus performs a store outside the RAM window as a TLM write of size
+// bytes (1, 2 or 4), little-endian.
+func (c *Core) storeBus(addr, val, size uint32, delay *kernel.Time, pc uint32) error {
 	for j := uint32(0); j < size; j++ {
 		c.mmioBuf[j] = core.TByte{V: byte(val >> (8 * j))}
 	}
@@ -588,12 +622,13 @@ func (c *Core) store(addr, val uint32, size uint32, delay *kernel.Time, pc uint3
 	return nil
 }
 
-// csrOp executes the Zicsr instructions.
-func (c *Core) csrOp(i Inst, pc uint32) error {
+// csrOp executes the Zicsr instructions. trapped reports an illegal CSR
+// access, which entered the trap handler instead.
+func (c *Core) csrOp(i Inst, pc uint32) (trapped bool, err error) {
 	csr := uint32(i.Imm)
 	old, ok := c.csrRead(csr)
 	if !ok {
-		return c.trap(CauseIllegalInstr, 0, pc)
+		return true, c.trap(CauseIllegalInstr, 0, pc)
 	}
 	var operand uint32
 	imm := i.Op == OpCSRRWI || i.Op == OpCSRRSI || i.Op == OpCSRRCI
@@ -616,11 +651,11 @@ func (c *Core) csrOp(i Inst, pc uint32) error {
 	}
 	if write {
 		if !c.csrWrite(csr, newVal) {
-			return c.trap(CauseIllegalInstr, 0, pc)
+			return true, c.trap(CauseIllegalInstr, 0, pc)
 		}
 	}
 	c.set(i.Rd, old)
-	return nil
+	return false, nil
 }
 
 func (c *Core) csrRead(csr uint32) (uint32, bool) {

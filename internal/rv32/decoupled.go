@@ -61,6 +61,7 @@ package rv32
 // the consumer's load).
 
 import (
+	"math"
 	"math/bits"
 	"runtime"
 	"time"
@@ -70,7 +71,6 @@ import (
 	"vpdift/internal/flight"
 	"vpdift/internal/kernel"
 	"vpdift/internal/obs"
-	"vpdift/internal/tlm"
 )
 
 // Memory flag-cache block geometry.
@@ -108,6 +108,8 @@ type decState struct {
 
 	// mask bit r set means register r may carry a non-default tag; clear
 	// proves Regs[r].T == def. Register tags themselves are always exact.
+	// runDecoupled works on a local copy and writes it back at every
+	// return.
 	mask uint32
 	// bstate is the per-block memory flag cache; btag is the proven uniform
 	// tag of bsUniform blocks; nonDef counts non-default byte tags per
@@ -380,18 +382,19 @@ func (c *TaintCore) DecoupledStats() (s DecoupledStats, ok bool) {
 }
 
 // emitRetire publishes the fullEmit-mode record for one retired
-// instruction in place of the inline observeStep/coverStep calls. Field
+// instruction, whose executed word is w, in place of the inline
+// observeStep/coverStep calls. Field
 // assignments mirror exactly what those hooks would have consumed: S1T
 // carries the pre-joined OnOp tag for ALU records (the join happens on the
 // front end so the observer's LUB count matches inline mode), load
 // addresses come from the pre-execution operand snapshot, and Val/ValT are
 // the post-writeback destination.
-func (c *TaintCore) emitRetire(i Inst, pc, off, next uint32) {
+func (c *TaintCore) emitRetire(i Inst, pc, w, next uint32) {
 	d := c.dec
 	rec := dift.Record{
 		Kind: dift.KindRetire,
 		PC:   pc,
-		Insn: c.fetchWord(off),
+		Insn: w,
 		Next: next,
 		Op:   uint8(i.Op),
 		Rd:   i.Rd,
@@ -436,190 +439,482 @@ func (c *TaintCore) emitRetire(i Inst, pc, off, next uint32) {
 	d.push(&rec)
 }
 
-// runDecoupled is Run's mode-A loop: stepDec instead of step, and a
-// mandatory drain at every return so callers (the SoC kernel loop, metrics
-// samplers, peripherals running between quanta) always observe final tag
-// state.
+// setLive returns the register flag cache mask with rd's bit recording
+// whether tag t may be non-default: set for a non-default tag, clear (a
+// proof of the default tag) otherwise.
+func setLive(mask uint32, rd uint8, t, def core.Tag) uint32 {
+	if t == def {
+		return mask &^ (1 << rd)
+	}
+	return mask | 1<<rd
+}
+
+// runDecoupled is Run's filtered-mode loop (see the file comment): the same
+// retire path as the inline loop — including its write-back rule for pc and
+// instret — with every clearance check gated on the flag caches and every
+// register/memory writeback keeping them exact. The drain at the single
+// exit makes every return a sync point, so callers (the SoC kernel loop,
+// metrics samplers, peripherals running between quanta) always observe
+// final tag state. Every opcode Run handles must be handled here too — the
+// inline/decoupled parity suite (TestDecoupledParity*, internal/wk) catches
+// divergence.
 func (c *TaintCore) runDecoupled(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err error) {
-	for n < max {
+	d := c.dec
+	// Filtered mode runs only without Obs and Cov, so the fetch-side hooks
+	// are the only per-retire ones.
+	hooked := c.Tracer != nil || c.Retire != nil
+	// The register flag cache lives in a local for the whole loop: no
+	// outlined call reads it, and every exit writes it back.
+	mask := d.mask
+	start := c.Instret
+	end := start + max
+	if end < start {
+		end = math.MaxUint64
+	}
+	pc, instret := c.PC, start
+	var scratch icEntry // decode target for fetches the cache cannot hold
+	for ; instret < end; instret++ {
 		if c.Halted {
-			c.drainDec()
-			return n, RunHalt, nil
+			return c.decExit(mask, pc, instret, start, RunHalt, nil)
 		}
-		st, err = c.stepDec(delay)
-		if err != nil {
-			c.drainDec()
-			return n, st, err
-		}
-		n++
-		c.Instret++
-		if st != RunOK {
-			c.drainDec()
-			return n, st, nil
-		}
-	}
-	c.drainDec()
-	return n, RunOK, nil
-}
-
-// decALUImmSlow is the I-type ALU writeback once the flag cache hit (a
-// source or the destination may be tainted): propagate the exact source tag
-// and keep the mask bit in sync. The all-clear fast path is written inline
-// in stepDec's ALU case.
-func (c *TaintCore) decALUImmSlow(i Inst, v uint32) {
-	if i.Rd == 0 {
-		return
-	}
-	d := c.dec
-	t := c.Regs[i.Rs1].T
-	if t == d.def {
-		d.mask &^= 1 << i.Rd
-	} else {
-		d.mask |= 1 << i.Rd
-	}
-	c.Regs[i.Rd] = core.W(v, t)
-}
-
-// decALU2Slow is the R-type counterpart of decALUImmSlow.
-func (c *TaintCore) decALU2Slow(i Inst, v uint32) {
-	if i.Rd == 0 {
-		return
-	}
-	d := c.dec
-	t := c.Regs[i.Rs1].T
-	if t2 := c.Regs[i.Rs2].T; t2 != t {
-		t = c.lat.LUB(t, t2)
-	}
-	if t == d.def {
-		d.mask &^= 1 << i.Rd
-	} else {
-		d.mask |= 1 << i.Rd
-	}
-	c.Regs[i.Rd] = core.W(v, t)
-}
-
-// decSetClear writes a destination with an untainted result (LUI, AUIPC,
-// link registers): a set flag bit means this is a register taint death.
-func (c *TaintCore) decSetClear(rd uint8, v uint32) {
-	if rd == 0 {
-		return
-	}
-	d := c.dec
-	d.mask &^= 1 << rd
-	c.Regs[rd] = core.W(v, d.def)
-}
-
-// decSyncReg reconciles the flag cache with a register the classic path
-// wrote with an exact inline tag (CSR results).
-func (c *TaintCore) decSyncReg(rd uint8) {
-	if rd == 0 {
-		return
-	}
-	d := c.dec
-	if c.Regs[rd].T == d.def {
-		d.mask &^= 1 << rd
-	} else {
-		d.mask |= 1 << rd
-	}
-}
-
-// decLoadOp is filtered mode's complete load instruction: address check,
-// memory read, sign extension, and destination writeback in one
-// (non-inlined) call — the same call count as the classic path's load().
-// Clean blocks skip the tag fold entirely; Uniform blocks take the proven
-// block tag; only Exact blocks fold per-byte tags.
-func (c *TaintCore) decLoadOp(i Inst, delay *kernel.Time, pc uint32) error {
-	d := c.dec
-	size := uint32(4)
-	switch i.Op {
-	case OpLB, OpLBU:
-		size = 1
-	case OpLH, OpLHU:
-		size = 2
-	}
-	addr := c.Regs[i.Rs1].V + uint32(i.Imm)
-	c.frAddr = addr
-	if c.checkMemAddr && (!d.defMemOK || d.mask>>i.Rs1&1 != 0) {
-		if bt := c.Regs[i.Rs1].T; !c.addrTagOK(bt) {
-			return c.addrViolation(bt, addr, pc, i.Rs1)
-		}
-	}
-	var v uint32
-	t := d.def
-	off := addr - c.ramBase
-	if !c.ForceBusMem && off < c.ramSize && off+size <= c.ramSize {
-		b0, b1 := off>>decBlockShift, (off+size-1)>>decBlockShift
-		s := d.bstate[b0] | d.bstate[b1]
-		if s == bsClean || (s == bsUniform && d.bstate[b0] == d.bstate[b1] && d.btag[b0] == d.btag[b1]) {
-			if s != bsClean {
-				t = d.btag[b0]
+		if c.irqPoll {
+			c.PC, c.Instret = pc, instret
+			taken, err := c.takeIRQ()
+			pc, instret = c.PC, c.Instret
+			if err != nil {
+				return c.decExit(mask, pc, instret, start, RunOK, err)
 			}
-			switch size {
-			case 1:
-				v = uint32(c.ram[off].V)
-			case 2:
-				v = uint32(c.ram[off].V) | uint32(c.ram[off+1].V)<<8
-			default:
-				v = uint32(c.ram[off].V) | uint32(c.ram[off+1].V)<<8 |
-					uint32(c.ram[off+2].V)<<16 | uint32(c.ram[off+3].V)<<24
+			if taken {
+				// Interrupt entry retires as one instruction; see Core.Run.
+				continue
+			}
+		}
+
+		off := pc - c.ramBase
+		e := &scratch
+		if idx := int(off >> 2); off&3 == 0 && idx < len(c.ic.ents) {
+			e = &c.ic.ents[idx]
+			if e.state == 0 {
+				c.PC, c.Instret = pc, instret
+				c.fill(e, off)
+				c.ic.noteFill(off)
+				pc, instret = c.PC, c.Instret
 			}
 		} else {
-			if d.bstate[b0] == bsLazy {
-				d.rescanBlock(c, b0)
+			if off >= c.ramSize || off+4 > c.ramSize {
+				err := &BusError{What: "instruction fetch outside RAM", Addr: pc, PC: pc}
+				return c.decExit(mask, pc, instret, start, RunOK, err)
 			}
-			if b1 != b0 && d.bstate[b1] == bsLazy {
-				d.rescanBlock(c, b1)
+			c.uncachedFetch++
+			c.PC, c.Instret = pc, instret
+			c.fill(e, off)
+			pc, instret = c.PC, c.Instret
+		}
+		i, w := e.inst, e.word
+		if hooked {
+			c.PC, c.Instret = pc, instret
+			c.fetchHooks(i, pc, w)
+			pc, instret = c.PC, c.Instret
+		}
+		if !e.allowed {
+			c.PC, c.Instret = pc, instret
+			err := c.fetchViolation(pc, w, e.tag)
+			pc, instret = c.PC, c.Instret
+			return c.decExit(mask, pc, instret, start, RunOK, err)
+		}
+
+		var faddr uint32 // load/store effective address for the flight record, else 0
+		next := pc + 4
+		r := &c.Regs
+		switch i.Op {
+		// Untainted results (LUI, AUIPC, link registers) clear rd's flag
+		// bit: a set bit means this write is a register taint death.
+		case OpLUI:
+			if i.Rd != 0 {
+				mask &^= 1 << i.Rd
+				r[i.Rd] = core.W(uint32(i.Imm), d.def)
 			}
-			switch size {
-			case 1:
-				b := c.ram[off]
-				v, t = uint32(b.V), b.T
-			case 2:
-				b0, b1 := c.ram[off], c.ram[off+1]
-				v, t = uint32(b0.V)|uint32(b1.V)<<8, core.Fold2(c.lat, b0, b1)
+		case OpAUIPC:
+			if i.Rd != 0 {
+				mask &^= 1 << i.Rd
+				r[i.Rd] = core.W(pc+uint32(i.Imm), d.def)
+			}
+		case OpJAL:
+			if i.Rd != 0 {
+				mask &^= 1 << i.Rd
+				r[i.Rd] = core.W(next, d.def)
+			}
+			next = pc + uint32(i.Imm)
+		case OpJALR:
+			if !d.defBranchOK || mask>>i.Rs1&1 != 0 {
+				if !c.branchTagOK(r[i.Rs1].T) {
+					c.PC, c.Instret = pc, instret
+					err := c.branchViolation(r[i.Rs1].T, pc, i.Rs1, obs.RegNone)
+					pc, instret = c.PC, c.Instret
+					return c.decExit(mask, pc, instret, start, RunOK, err)
+				}
+			}
+			t := (r[i.Rs1].V + uint32(i.Imm)) &^ 1
+			if i.Rd != 0 {
+				mask &^= 1 << i.Rd
+				r[i.Rd] = core.W(next, d.def)
+			}
+			next = t
+		case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
+			if !d.defBranchOK || (mask>>i.Rs1|mask>>i.Rs2)&1 != 0 {
+				condTag := c.lat.LUB(r[i.Rs1].T, r[i.Rs2].T)
+				if !c.branchTagOK(condTag) {
+					c.PC, c.Instret = pc, instret
+					err := c.branchViolation(condTag, pc, i.Rs1, i.Rs2)
+					pc, instret = c.PC, c.Instret
+					return c.decExit(mask, pc, instret, start, RunOK, err)
+				}
+			}
+			a, b := r[i.Rs1].V, r[i.Rs2].V
+			var taken bool
+			switch i.Op {
+			case OpBEQ:
+				taken = a == b
+			case OpBNE:
+				taken = a != b
+			case OpBLT:
+				taken = int32(a) < int32(b)
+			case OpBGE:
+				taken = int32(a) >= int32(b)
+			case OpBLTU:
+				taken = a < b
 			default:
-				b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
-				v = uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
-				t = core.Fold4(c.lat, b0, b1, b2, b3)
+				taken = a >= b
 			}
+			if taken {
+				next = pc + uint32(i.Imm)
+			}
+		case OpLB, OpLH, OpLW, OpLBU, OpLHU:
+			addr := r[i.Rs1].V + uint32(i.Imm)
+			faddr = addr
+			if c.checkMemAddr && (!d.defMemOK || mask>>i.Rs1&1 != 0) {
+				if bt := r[i.Rs1].T; !c.addrTagOK(bt) {
+					c.PC, c.Instret = pc, instret
+					err := c.addrViolation(bt, addr, pc, i.Rs1)
+					pc, instret = c.PC, c.Instret
+					return c.decExit(mask, pc, instret, start, RunOK, err)
+				}
+			}
+			size := uint32(memSize[i.Op])
+			var v uint32
+			t := d.def
+			if a := addr - c.ramBase; !c.ForceBusMem && a < c.ramSize && a+size <= c.ramSize {
+				// Clean blocks skip the tag fold entirely; Uniform blocks
+				// take the proven block tag; the rest fold per-byte tags.
+				b0, b1 := a>>decBlockShift, (a+size-1)>>decBlockShift
+				s := d.bstate[b0] | d.bstate[b1]
+				if s == bsClean || (s == bsUniform && d.bstate[b0] == d.bstate[b1] && d.btag[b0] == d.btag[b1]) {
+					if s != bsClean {
+						t = d.btag[b0]
+					}
+					switch size {
+					case 1:
+						v = uint32(c.ram[a].V)
+					case 2:
+						v = uint32(c.ram[a].V) | uint32(c.ram[a+1].V)<<8
+					default:
+						v = uint32(c.ram[a].V) | uint32(c.ram[a+1].V)<<8 |
+							uint32(c.ram[a+2].V)<<16 | uint32(c.ram[a+3].V)<<24
+					}
+				} else {
+					c.PC, c.Instret = pc, instret
+					v, t = c.decLoadExact(a, size)
+					pc, instret = c.PC, c.Instret
+				}
+			} else {
+				c.PC, c.Instret = pc, instret
+				bw, err := c.loadBus(addr, size, delay, pc)
+				pc, instret = c.PC, c.Instret
+				if err != nil {
+					return c.decExit(mask, pc, instret, start, RunOK, err)
+				}
+				v, t = bw.V, bw.T
+			}
+			switch i.Op {
+			case OpLB:
+				v = uint32(int32(v<<24) >> 24)
+			case OpLH:
+				v = uint32(int32(v<<16) >> 16)
+			}
+			if i.Rd != 0 {
+				mask = setLive(mask, i.Rd, t, d.def)
+				r[i.Rd] = core.W(v, t)
+			}
+		case OpSB, OpSH, OpSW:
+			addr := r[i.Rs1].V + uint32(i.Imm)
+			faddr = addr
+			if c.checkMemAddr && (!d.defMemOK || mask>>i.Rs1&1 != 0) {
+				if bt := r[i.Rs1].T; !c.addrTagOK(bt) {
+					c.PC, c.Instret = pc, instret
+					err := c.addrViolation(bt, addr, pc, i.Rs1)
+					pc, instret = c.PC, c.Instret
+					return c.decExit(mask, pc, instret, start, RunOK, err)
+				}
+			}
+			if len(d.storeRanges) != 0 && d.inStoreRange(addr) {
+				c.PC, c.Instret = pc, instret
+				err := c.pol.CheckStore(addr, r[i.Rs2].T)
+				pc, instret = c.PC, c.Instret
+				if err != nil {
+					if v, ok := err.(*core.Violation); ok {
+						v.PC = pc
+					}
+					return c.decExit(mask, pc, instret, start, RunOK, err)
+				}
+			}
+			size := uint32(memSize[i.Op])
+			if a := addr - c.ramBase; !c.ForceBusMem && a < c.ramSize && a+size <= c.ramSize {
+				val := r[i.Rs2].V
+				t := d.def
+				if mask>>i.Rs2&1 != 0 {
+					t = r[i.Rs2].T
+				}
+				// Clean blocks swallow default-tagged data and Uniform blocks
+				// matching-tagged data with no tag writes at all; everything
+				// else takes the exact per-byte spread.
+				b0, b1 := a>>decBlockShift, (a+size-1)>>decBlockShift
+				s := d.bstate[b0] | d.bstate[b1]
+				if (s == bsClean && t == d.def) ||
+					(s == bsUniform && d.bstate[b0] == d.bstate[b1] && d.btag[b0] == t && d.btag[b1] == t) {
+					switch size {
+					case 1:
+						c.ram[a].V = byte(val)
+					case 2:
+						c.ram[a].V = byte(val)
+						c.ram[a+1].V = byte(val >> 8)
+					default:
+						c.ram[a].V = byte(val)
+						c.ram[a+1].V = byte(val >> 8)
+						c.ram[a+2].V = byte(val >> 16)
+						c.ram[a+3].V = byte(val >> 24)
+					}
+				} else {
+					c.PC, c.Instret = pc, instret
+					c.decStoreExact(a, size, val, t)
+					pc, instret = c.PC, c.Instret
+				}
+				if c.ic.overlaps(a, a+size) {
+					c.ic.invalidate(a, a+size)
+				}
+			} else {
+				// MMIO: the peripheral's output clearance sees the exact
+				// data tag.
+				c.PC, c.Instret = pc, instret
+				err := c.storeBus(addr, size, r[i.Rs2], delay, pc)
+				pc, instret = c.PC, c.Instret
+				if err != nil {
+					return c.decExit(mask, pc, instret, start, RunOK, err)
+				}
+			}
+		case OpADDI, OpSLTI, OpSLTIU, OpXORI, OpORI, OpANDI, OpSLLI, OpSRLI, OpSRAI:
+			var v uint32
+			switch i.Op {
+			case OpADDI:
+				v = r[i.Rs1].V + uint32(i.Imm)
+			case OpSLTI:
+				v = b2u(int32(r[i.Rs1].V) < i.Imm)
+			case OpSLTIU:
+				v = b2u(r[i.Rs1].V < uint32(i.Imm))
+			case OpXORI:
+				v = r[i.Rs1].V ^ uint32(i.Imm)
+			case OpORI:
+				v = r[i.Rs1].V | uint32(i.Imm)
+			case OpANDI:
+				v = r[i.Rs1].V & uint32(i.Imm)
+			case OpSLLI:
+				v = r[i.Rs1].V << uint(i.Imm)
+			case OpSRLI:
+				v = r[i.Rs1].V >> uint(i.Imm)
+			default:
+				v = uint32(int32(r[i.Rs1].V) >> uint(i.Imm))
+			}
+			// Flag-cache fast path: all-clear operands and destination change
+			// no tag state — write the value half only. Otherwise propagate
+			// the exact source tag and keep the flag bit in sync.
+			if (mask>>i.Rs1|mask>>i.Rd)&1 == 0 {
+				if i.Rd != 0 {
+					r[i.Rd].V = v
+				}
+			} else if i.Rd != 0 {
+				t := r[i.Rs1].T
+				mask = setLive(mask, i.Rd, t, d.def)
+				r[i.Rd] = core.W(v, t)
+			}
+		case OpADD, OpSUB, OpSLL, OpSLT, OpSLTU, OpXOR, OpSRL, OpSRA, OpOR, OpAND,
+			OpMUL, OpMULH, OpMULHSU, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU:
+			var v uint32
+			switch i.Op {
+			case OpADD:
+				v = r[i.Rs1].V + r[i.Rs2].V
+			case OpSUB:
+				v = r[i.Rs1].V - r[i.Rs2].V
+			case OpSLL:
+				v = r[i.Rs1].V << (r[i.Rs2].V & 31)
+			case OpSLT:
+				v = b2u(int32(r[i.Rs1].V) < int32(r[i.Rs2].V))
+			case OpSLTU:
+				v = b2u(r[i.Rs1].V < r[i.Rs2].V)
+			case OpXOR:
+				v = r[i.Rs1].V ^ r[i.Rs2].V
+			case OpSRL:
+				v = r[i.Rs1].V >> (r[i.Rs2].V & 31)
+			case OpSRA:
+				v = uint32(int32(r[i.Rs1].V) >> (r[i.Rs2].V & 31))
+			case OpOR:
+				v = r[i.Rs1].V | r[i.Rs2].V
+			case OpAND:
+				v = r[i.Rs1].V & r[i.Rs2].V
+			case OpMUL:
+				v = r[i.Rs1].V * r[i.Rs2].V
+			case OpMULH:
+				v = uint32(uint64(int64(int32(r[i.Rs1].V))*int64(int32(r[i.Rs2].V))) >> 32)
+			case OpMULHSU:
+				v = uint32(uint64(int64(int32(r[i.Rs1].V))*int64(r[i.Rs2].V)) >> 32)
+			case OpMULHU:
+				v = uint32(uint64(r[i.Rs1].V) * uint64(r[i.Rs2].V) >> 32)
+			case OpDIV:
+				v = divS(r[i.Rs1].V, r[i.Rs2].V)
+			case OpDIVU:
+				v = divU(r[i.Rs1].V, r[i.Rs2].V)
+			case OpREM:
+				v = remS(r[i.Rs1].V, r[i.Rs2].V)
+			default:
+				v = remU(r[i.Rs1].V, r[i.Rs2].V)
+			}
+			if (mask>>i.Rs1|mask>>i.Rs2|mask>>i.Rd)&1 == 0 {
+				if i.Rd != 0 {
+					r[i.Rd].V = v
+				}
+			} else if i.Rd != 0 {
+				// A source or the destination may be tainted: join the exact
+				// source tags and keep the flag bit in sync.
+				t := r[i.Rs1].T
+				if t2 := r[i.Rs2].T; t2 != t {
+					t = c.lat.LUB(t, t2)
+				}
+				mask = setLive(mask, i.Rd, t, d.def)
+				r[i.Rd] = core.W(v, t)
+			}
+		case OpFENCE:
+			// No-op: the memory model is sequentially consistent.
+		case OpFENCEI:
+			c.ic.invalidateAll()
+		case OpMRET:
+			// mepc's tag is front-end-owned (CSR tags never decouple), so the
+			// check runs inline with no drain.
+			if !c.branchTagOK(c.mepc.T) {
+				c.PC, c.Instret = pc, instret
+				err := c.branchViolation(c.mepc.T, pc, obs.RegNone, obs.RegNone)
+				pc, instret = c.PC, c.Instret
+				return c.decExit(mask, pc, instret, start, RunOK, err)
+			}
+			c.mret()
+			next = c.mepc.V
+		case OpWFI:
+			if !c.PendingIRQ() {
+				return c.decExit(mask, next, instret+1, start, RunWFI, nil)
+			}
+		case OpCSRRW, OpCSRRS, OpCSRRC, OpCSRRWI, OpCSRRSI, OpCSRRCI:
+			// CSR and register tags are both front-end-owned and exact, so the
+			// inline CSR path runs unchanged; only the flag cache needs syncing.
+			c.PC, c.Instret = pc, instret
+			trapped, err := c.csrOp(i, pc)
+			pc, instret = c.PC, c.Instret
+			if err != nil {
+				return c.decExit(mask, pc, instret, start, RunOK, err)
+			}
+			if trapped {
+				continue
+			}
+			if i.Rd != 0 {
+				mask = setLive(mask, i.Rd, r[i.Rd].T, d.def)
+			}
+		default:
+			c.PC, c.Instret = pc, instret
+			err := c.trap(trapCause(i.Op, w, pc))
+			pc, instret = c.PC, c.Instret
+			if err != nil {
+				return c.decExit(mask, pc, instret, start, RunOK, err)
+			}
+			continue
 		}
-	} else {
-		p := tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-		c.bus.Transport(&p, delay)
-		if p.Resp != tlm.OK {
-			return &BusError{What: "load " + p.Resp.String(), Addr: addr, PC: pc}
+		if c.FR != nil {
+			// Flight capture, hand-inlined (see flightcap.go).
+			fl := flightFlags[i.Op]
+			if next != pc+4 {
+				fl |= flight.FlagTaken
+			}
+			if i.Rd != 0 && r[i.Rd].T != d.def {
+				fl |= flight.FlagTaintRd
+			}
+			rec := c.FR.Slot()
+			rec.Time = instret
+			rec.PC = pc
+			rec.Insn = w
+			rec.Addr = faddr // zero unless a load or store set it
+			rec.Aux = 0
+			rec.Kind = flight.KindRetire
+			rec.Flags = fl
 		}
-		t = c.mmioBuf[0].T
-		for j := uint32(0); j < size; j++ {
-			v |= uint32(c.mmioBuf[j].V) << (8 * j)
-			t = c.lat.LUB(t, c.mmioBuf[j].T)
-		}
+		pc = next
 	}
-	switch i.Op {
-	case OpLB:
-		v = uint32(int32(v<<24) >> 24)
-	case OpLH:
-		v = uint32(int32(v<<16) >> 16)
-	}
-	if rd := i.Rd; rd != 0 {
-		if t == d.def {
-			d.mask &^= 1 << rd
-		} else {
-			d.mask |= 1 << rd
-		}
-		c.Regs[rd] = core.W(v, t)
-	}
-	return nil
+	return c.decExit(mask, pc, instret, start, RunOK, nil)
 }
 
-// decStoreTags is the filtered-mode store's slow path: spread the exact data
-// tag per byte, maintaining the non-default counts and the block states. A
-// block whose last non-default byte dies re-arms to Clean — this is what
-// restores full suppression after taint death.
-func (c *TaintCore) decStoreTags(off, size uint32, val uint32, t core.Tag) {
+// decExit is exit for the filtered loop: it also writes the register flag
+// cache back.
+func (c *TaintCore) decExit(mask uint32, pc uint32, instret, start uint64, st RunStatus, err error) (uint64, RunStatus, error) {
+	c.dec.mask = mask
+	return c.exit(pc, instret, start, st, err)
+}
+
+// classifySpan rescans the Lazy blocks spanned by a size-byte access at RAM
+// offset a, so the exact paths below work on classified blocks.
+func (d *decState) classifySpan(c *TaintCore, a, size uint32) {
+	b0, b1 := a>>decBlockShift, (a+size-1)>>decBlockShift
+	if d.bstate[b0] == bsLazy {
+		d.rescanBlock(c, b0)
+	}
+	if b1 != b0 && d.bstate[b1] == bsLazy {
+		d.rescanBlock(c, b1)
+	}
+}
+
+// decLoadExact is the filtered-mode load of size bytes at RAM offset a once
+// the access missed every flag-cache tier: classify Lazy blocks first, then
+// fold the per-byte tags.
+func (c *TaintCore) decLoadExact(a, size uint32) (uint32, core.Tag) {
+	c.dec.classifySpan(c, a, size)
+	switch size {
+	case 1:
+		b := c.ram[a]
+		return uint32(b.V), b.T
+	case 2:
+		b0, b1 := c.ram[a], c.ram[a+1]
+		return uint32(b0.V) | uint32(b1.V)<<8, core.Fold2(c.lat, b0, b1)
+	default:
+		b0, b1, b2, b3 := c.ram[a], c.ram[a+1], c.ram[a+2], c.ram[a+3]
+		return uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24,
+			core.Fold4(c.lat, b0, b1, b2, b3)
+	}
+}
+
+// decStoreExact is the filtered-mode store's exact path at RAM offset a:
+// classify Lazy blocks first (so the non-default counts the spread
+// maintains are exact), then spread the data tag per byte, maintaining the
+// counts and the block states. A block whose last non-default
+// byte dies re-arms to Clean — this is what restores full suppression after
+// taint death.
+func (c *TaintCore) decStoreExact(a, size uint32, val uint32, t core.Tag) {
 	d := c.dec
+	d.classifySpan(c, a, size)
 	for j := uint32(0); j < size; j++ {
-		o := off + j
+		o := a + j
 		old := c.ram[o].T
 		c.ram[o] = core.TByte{V: byte(val >> (8 * j)), T: t}
 		if old == t {
@@ -645,391 +940,4 @@ func (c *TaintCore) decStoreTags(off, size uint32, val uint32, t core.Tag) {
 			d.bstate[b] = bsExact
 		}
 	}
-}
-
-// decStore is filtered mode's store: Clean blocks swallow default-tagged
-// data and Uniform blocks swallow matching-tagged data with no tag writes
-// at all; everything else takes the exact per-byte spread.
-func (c *TaintCore) decStore(i Inst, size uint32, delay *kernel.Time, pc uint32) error {
-	d := c.dec
-	addr := c.Regs[i.Rs1].V + uint32(i.Imm)
-	c.frAddr = addr
-	if c.checkMemAddr && (!d.defMemOK || d.mask>>i.Rs1&1 != 0) {
-		if bt := c.Regs[i.Rs1].T; !c.addrTagOK(bt) {
-			return c.addrViolation(bt, addr, pc, i.Rs1)
-		}
-	}
-	if len(d.storeRanges) != 0 && d.inStoreRange(addr) {
-		if err := c.pol.CheckStore(addr, c.Regs[i.Rs2].T); err != nil {
-			if v, ok := err.(*core.Violation); ok {
-				v.PC = pc
-			}
-			return err
-		}
-	}
-	off := addr - c.ramBase
-	if !c.ForceBusMem && off < c.ramSize && off+size <= c.ramSize {
-		val := c.Regs[i.Rs2].V
-		t := d.def
-		if d.mask>>i.Rs2&1 != 0 {
-			t = c.Regs[i.Rs2].T
-		}
-		b0, b1 := off>>decBlockShift, (off+size-1)>>decBlockShift
-		s := d.bstate[b0] | d.bstate[b1]
-		match := (s == bsClean && t == d.def) ||
-			(s == bsUniform && d.bstate[b0] == d.bstate[b1] && d.btag[b0] == t && d.btag[b1] == t)
-		if match {
-			switch size {
-			case 1:
-				c.ram[off].V = byte(val)
-			case 2:
-				c.ram[off].V = byte(val)
-				c.ram[off+1].V = byte(val >> 8)
-			default:
-				c.ram[off].V = byte(val)
-				c.ram[off+1].V = byte(val >> 8)
-				c.ram[off+2].V = byte(val >> 16)
-				c.ram[off+3].V = byte(val >> 24)
-			}
-		} else {
-			// Lazy blocks must be classified first so the non-default counts
-			// the spread maintains are exact.
-			if d.bstate[b0] == bsLazy {
-				d.rescanBlock(c, b0)
-			}
-			if b1 != b0 && d.bstate[b1] == bsLazy {
-				d.rescanBlock(c, b1)
-			}
-			c.decStoreTags(off, size, val, t)
-		}
-		if c.ic.overlaps(off, off+size) {
-			c.ic.invalidate(off, off+size)
-		}
-		return nil
-	}
-	// MMIO: the peripheral's output clearance sees the exact data tag.
-	val := c.Regs[i.Rs2]
-	for j := uint32(0); j < size; j++ {
-		c.mmioBuf[j] = core.TByte{V: byte(val.V >> (8 * j)), T: val.T}
-	}
-	p := tlm.Payload{Cmd: tlm.Write, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-	c.bus.Transport(&p, delay)
-	if p.Resp != tlm.OK {
-		return &BusError{What: "store " + p.Resp.String(), Addr: addr, PC: pc}
-	}
-	return nil
-}
-
-// stepDec is mode A's interpreter step. It mirrors step exactly in
-// architectural behaviour; the differences are confined to tag handling:
-// clearance checks gate on the flag caches before falling back to the
-// drained classic path, and register/memory writebacks go through the
-// dec* helpers above. Every new opcode added to step must be added here —
-// the inline/decoupled parity suite (TestDecoupledParity*, internal/wk)
-// catches divergence.
-func (c *TaintCore) stepDec(delay *kernel.Time) (RunStatus, error) {
-	if c.irqPoll {
-		if taken, err := c.takeIRQ(); err != nil {
-			return RunOK, err
-		} else if taken {
-			return RunOK, nil
-		}
-	}
-
-	d := c.dec
-	pc := c.PC
-	off := pc - c.ramBase
-	var i Inst
-	var w uint32
-	if idx := int(off >> 2); off&3 == 0 && idx < len(c.ic.ents) {
-		e := &c.ic.ents[idx]
-		if e.state != 0 {
-			i = e.inst
-			w = e.word
-			if c.Tracer != nil {
-				c.Tracer(pc, w)
-			}
-			if c.Retire != nil {
-				c.Retire(pc, w)
-			}
-			if !e.allowed {
-				return RunOK, c.fetchViolation(pc, w, e.tag)
-			}
-		} else {
-			b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
-			w = uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
-			if c.Tracer != nil {
-				c.Tracer(pc, w)
-			}
-			if c.Retire != nil {
-				c.Retire(pc, w)
-			}
-			e.tag, e.allowed = 0, true
-			if c.checkFetch {
-				e.tag = c.foldFetchTag(b0, b1, b2, b3)
-				e.allowed = c.lat.AllowedFlow(e.tag, c.fetchClear)
-			}
-			i = Decode(w)
-			e.inst = i
-			e.word = w
-			e.state = icValid
-			c.ic.noteFill(off)
-			if !e.allowed {
-				return RunOK, c.fetchViolation(pc, w, e.tag)
-			}
-		}
-	} else {
-		if off >= c.ramSize || off+4 > c.ramSize {
-			return RunOK, &BusError{What: "instruction fetch outside RAM", Addr: pc, PC: pc}
-		}
-		c.uncachedFetch++
-		b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
-		w = uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
-		if c.Tracer != nil {
-			c.Tracer(pc, w)
-		}
-		if c.Retire != nil {
-			c.Retire(pc, w)
-		}
-		if c.checkFetch {
-			t := c.foldFetchTag(b0, b1, b2, b3)
-			if !c.lat.AllowedFlow(t, c.fetchClear) {
-				return RunOK, c.fetchViolation(pc, w, t)
-			}
-		}
-		i = Decode(w)
-	}
-
-	next := pc + 4
-	r := &c.Regs
-	switch i.Op {
-	case OpLUI:
-		if v := uint32(i.Imm); d.mask>>i.Rd&1 == 0 {
-			if i.Rd != 0 {
-				r[i.Rd] = core.W(v, d.def)
-			}
-		} else {
-			c.decSetClear(i.Rd, v)
-		}
-	case OpAUIPC:
-		if v := pc + uint32(i.Imm); d.mask>>i.Rd&1 == 0 {
-			if i.Rd != 0 {
-				r[i.Rd] = core.W(v, d.def)
-			}
-		} else {
-			c.decSetClear(i.Rd, v)
-		}
-	case OpJAL:
-		if d.mask>>i.Rd&1 == 0 {
-			if i.Rd != 0 {
-				r[i.Rd] = core.W(next, d.def)
-			}
-		} else {
-			c.decSetClear(i.Rd, next)
-		}
-		next = pc + uint32(i.Imm)
-	case OpJALR:
-		if !d.defBranchOK || d.mask>>i.Rs1&1 != 0 {
-			if !c.branchTagOK(r[i.Rs1].T) {
-				return RunOK, c.branchViolation(r[i.Rs1].T, pc, i.Rs1, obs.RegNone)
-			}
-		}
-		t := (r[i.Rs1].V + uint32(i.Imm)) &^ 1
-		if d.mask>>i.Rd&1 == 0 {
-			if i.Rd != 0 {
-				r[i.Rd] = core.W(next, d.def)
-			}
-		} else {
-			c.decSetClear(i.Rd, next)
-		}
-		next = t
-	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		if !d.defBranchOK || (d.mask>>i.Rs1|d.mask>>i.Rs2)&1 != 0 {
-			condTag := c.lat.LUB(r[i.Rs1].T, r[i.Rs2].T)
-			if !c.branchTagOK(condTag) {
-				return RunOK, c.branchViolation(condTag, pc, i.Rs1, i.Rs2)
-			}
-		}
-		a, b := r[i.Rs1].V, r[i.Rs2].V
-		var taken bool
-		switch i.Op {
-		case OpBEQ:
-			taken = a == b
-		case OpBNE:
-			taken = a != b
-		case OpBLT:
-			taken = int32(a) < int32(b)
-		case OpBGE:
-			taken = int32(a) >= int32(b)
-		case OpBLTU:
-			taken = a < b
-		default:
-			taken = a >= b
-		}
-		if taken {
-			next = pc + uint32(i.Imm)
-		}
-	case OpLB, OpLH, OpLW, OpLBU, OpLHU:
-		if err := c.decLoadOp(i, delay, pc); err != nil {
-			return RunOK, err
-		}
-	case OpSB:
-		if err := c.decStore(i, 1, delay, pc); err != nil {
-			return RunOK, err
-		}
-	case OpSH:
-		if err := c.decStore(i, 2, delay, pc); err != nil {
-			return RunOK, err
-		}
-	case OpSW:
-		if err := c.decStore(i, 4, delay, pc); err != nil {
-			return RunOK, err
-		}
-	case OpADDI, OpSLTI, OpSLTIU, OpXORI, OpORI, OpANDI, OpSLLI, OpSRLI, OpSRAI:
-		var v uint32
-		switch i.Op {
-		case OpADDI:
-			v = r[i.Rs1].V + uint32(i.Imm)
-		case OpSLTI:
-			v = b2u(int32(r[i.Rs1].V) < i.Imm)
-		case OpSLTIU:
-			v = b2u(r[i.Rs1].V < uint32(i.Imm))
-		case OpXORI:
-			v = r[i.Rs1].V ^ uint32(i.Imm)
-		case OpORI:
-			v = r[i.Rs1].V | uint32(i.Imm)
-		case OpANDI:
-			v = r[i.Rs1].V & uint32(i.Imm)
-		case OpSLLI:
-			v = r[i.Rs1].V << uint(i.Imm)
-		case OpSRLI:
-			v = r[i.Rs1].V >> uint(i.Imm)
-		default:
-			v = uint32(int32(r[i.Rs1].V) >> uint(i.Imm))
-		}
-		// Flag-cache fast path: all-clear operands and destination change no
-		// tag state — write the value half only, emit nothing.
-		if (d.mask>>i.Rs1|d.mask>>i.Rd)&1 == 0 {
-			if i.Rd != 0 {
-				r[i.Rd].V = v
-			}
-		} else {
-			c.decALUImmSlow(i, v)
-		}
-	case OpADD, OpSUB, OpSLL, OpSLT, OpSLTU, OpXOR, OpSRL, OpSRA, OpOR, OpAND,
-		OpMUL, OpMULH, OpMULHSU, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU:
-		var v uint32
-		switch i.Op {
-		case OpADD:
-			v = r[i.Rs1].V + r[i.Rs2].V
-		case OpSUB:
-			v = r[i.Rs1].V - r[i.Rs2].V
-		case OpSLL:
-			v = r[i.Rs1].V << (r[i.Rs2].V & 31)
-		case OpSLT:
-			v = b2u(int32(r[i.Rs1].V) < int32(r[i.Rs2].V))
-		case OpSLTU:
-			v = b2u(r[i.Rs1].V < r[i.Rs2].V)
-		case OpXOR:
-			v = r[i.Rs1].V ^ r[i.Rs2].V
-		case OpSRL:
-			v = r[i.Rs1].V >> (r[i.Rs2].V & 31)
-		case OpSRA:
-			v = uint32(int32(r[i.Rs1].V) >> (r[i.Rs2].V & 31))
-		case OpOR:
-			v = r[i.Rs1].V | r[i.Rs2].V
-		case OpAND:
-			v = r[i.Rs1].V & r[i.Rs2].V
-		case OpMUL:
-			v = r[i.Rs1].V * r[i.Rs2].V
-		case OpMULH:
-			v = uint32(uint64(int64(int32(r[i.Rs1].V))*int64(int32(r[i.Rs2].V))) >> 32)
-		case OpMULHSU:
-			v = uint32(uint64(int64(int32(r[i.Rs1].V))*int64(r[i.Rs2].V)) >> 32)
-		case OpMULHU:
-			v = uint32(uint64(r[i.Rs1].V) * uint64(r[i.Rs2].V) >> 32)
-		case OpDIV:
-			v = divS(r[i.Rs1].V, r[i.Rs2].V)
-		case OpDIVU:
-			v = divU(r[i.Rs1].V, r[i.Rs2].V)
-		case OpREM:
-			v = remS(r[i.Rs1].V, r[i.Rs2].V)
-		default:
-			v = remU(r[i.Rs1].V, r[i.Rs2].V)
-		}
-		if (d.mask>>i.Rs1|d.mask>>i.Rs2|d.mask>>i.Rd)&1 == 0 {
-			if i.Rd != 0 {
-				r[i.Rd].V = v
-			}
-		} else {
-			c.decALU2Slow(i, v)
-		}
-	case OpFENCE:
-		// No-op: the memory model is sequentially consistent.
-	case OpFENCEI:
-		c.ic.invalidateAll()
-	case OpECALL:
-		return RunOK, c.trap(CauseECallM, 0, pc)
-	case OpEBREAK:
-		return RunOK, c.trap(CauseBreakpoint, 0, pc)
-	case OpMRET:
-		// mepc's tag is front-end-owned (CSR tags never decouple), so the
-		// check runs inline with no drain.
-		if !c.branchTagOK(c.mepc.T) {
-			return RunOK, c.branchViolation(c.mepc.T, pc, obs.RegNone, obs.RegNone)
-		}
-		st := c.mstatus.V
-		if st&MstatusMPIE != 0 {
-			st |= MstatusMIE
-		} else {
-			st &^= MstatusMIE
-		}
-		st |= MstatusMPIE
-		c.mstatus = core.W(st, c.mstatus.T)
-		c.irqPoll = true
-		next = c.mepc.V
-	case OpWFI:
-		if !c.PendingIRQ() {
-			c.PC = next
-			return RunWFI, nil
-		}
-	case OpCSRRW, OpCSRRS, OpCSRRC, OpCSRRWI, OpCSRRSI, OpCSRRCI:
-		// CSR and register tags are both front-end-owned and exact, so the
-		// classic CSR path runs unchanged; only the flag cache needs syncing.
-		if err := c.csrOp(i, pc); err != nil {
-			return RunOK, err
-		}
-		if c.PC != pc {
-			return RunOK, nil
-		}
-		c.decSyncReg(i.Rd)
-	default:
-		return RunOK, c.trap(CauseIllegalInstr, c.fetchWord(off), pc)
-	}
-	if c.FR != nil {
-		// Flight capture, hand-inlined (see flightcap.go).
-		fl := flightFlags[i.Op]
-		if next != pc+4 {
-			fl |= flight.FlagTaken
-		}
-		if i.Rd != 0 && c.Regs[i.Rd].T != c.def {
-			fl |= flight.FlagTaintRd
-		}
-		var faddr uint32
-		if fl&(flight.FlagLoad|flight.FlagStore) != 0 {
-			faddr = c.frAddr
-		}
-		rec := c.FR.Slot()
-		rec.Time = c.Instret
-		rec.PC = pc
-		rec.Insn = w
-		rec.Addr = faddr
-		rec.Aux = 0
-		rec.Kind = flight.KindRetire
-		rec.Flags = fl
-	}
-	if c.PC == pc {
-		c.PC = next
-	}
-	return RunOK, nil
 }

@@ -2,12 +2,12 @@ package rv32
 
 import "vpdift/internal/flight"
 
-// Flight-recorder capture for both cores. The capture site is the very end
-// of the interpreter step, after the switch and every clearance check, so a
-// record exists exactly when the instruction retired — violating or
-// faulting instructions never reach it and are appended as terminal marks
-// by the platform instead, which is what lets the bundle's trace window end
-// at the violating instruction.
+// Flight-recorder capture for both cores. The capture site is the end of
+// the retire path in each interpreter loop, after the switch and every
+// clearance check, so a record exists exactly when the instruction retired
+// — violating or faulting instructions never reach it and are appended as
+// terminal marks by the platform instead, which is what lets the bundle's
+// trace window end at the violating instruction.
 
 // flightFlags gives each opcode its static flight-record flag bits; the
 // dynamic bits (FlagTaken, FlagTaintRd) are added at capture time.
@@ -25,24 +25,25 @@ var flightFlags = func() [numOps]uint8 {
 	return t
 }()
 
-// The capture itself is hand-inlined at the end of Core.step,
-// TaintCore.step and TaintCore.stepDec behind the `c.FR != nil` guard: it
-// must cost a handful of instructions per retire, not a function call, and
-// as a helper it exceeds the compiler's inlining budget. All three copies
-// follow the same shape —
+// The capture itself is hand-inlined near the end of each interpreter
+// loop — Core.Run, TaintCore.Run and TaintCore.runDecoupled — behind a
+// `c.FR != nil` guard: it must cost a handful of instructions per retire,
+// not a function call, and as a helper it exceeds the compiler's inlining
+// budget. All three copies follow the same shape —
 //
 //	fl := flightFlags[i.Op]
 //	if next != pc+4 { fl |= flight.FlagTaken }
 //	(VP+ only) if i.Rd != 0 && c.Regs[i.Rd].T != c.def { fl |= flight.FlagTaintRd }
-//	addr := c.frAddr for loads/stores, 0 otherwise
-//	fill c.FR.Slot() with {Instret, pc, w, addr, 0, KindRetire, fl}
+//	fill c.FR.Slot() with {instret, pc, w, faddr, 0, KindRetire, fl}
 //
-// where c.frAddr was stashed by the load/store helpers (recomputing the
-// effective address post-switch would be wrong when rd aliases rs1). The
-// VP+ copies run on both the inline step and the decoupled front end's
-// stepDec — register tags are exact at every instruction boundary in both
-// modes (see decoupled.go's ownership protocol), so the captured window is
-// bit-identical across inline and decoupled runs.
+// where faddr is the per-iteration local the load/store cases set to the
+// effective address and every other instruction leaves 0 (recomputing the
+// address after the switch would be wrong when rd aliases rs1), and
+// instret is the loop's local instruction count, the value Instret has
+// while the instruction executes. Register tags are exact at
+// every instruction boundary in both VP+ loops (see decoupled.go's
+// ownership protocol), so the captured window is bit-identical across
+// inline and decoupled runs.
 
 // RegName returns the ABI name of architectural register r (0..31).
 func RegName(r int) string {

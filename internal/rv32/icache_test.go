@@ -5,6 +5,7 @@ import (
 
 	"vpdift/internal/asm"
 	"vpdift/internal/core"
+	"vpdift/internal/cover"
 	"vpdift/internal/kernel"
 )
 
@@ -165,5 +166,136 @@ func TestICacheWatermarkAndInvalidate(t *testing.T) {
 	ic.invalidate(60, 100)
 	if ic.ents[15].state != 0 {
 		t.Error("clamped invalidate must still drop the last entry")
+	}
+}
+
+// smcNextBody rewrites the instruction that immediately follows the store,
+// in the same straight-line run: no call or branch separates the store
+// from the patched word. The loop runs twice so the target's decode-cache
+// entry is warm when the second pass patches it; the first pass stores the
+// original encoding, the second `addi a0, x0, 7`. a0 packs both passes:
+// (first << 4) | second = 0x17 when the second pass executed the new word.
+const smcNextBody = `
+_start:
+	la t0, target
+	la t2, words
+	li s0, 0
+	li s1, 0
+	li t3, 2
+again:
+	lw t1, 0(t2)
+	sw t1, 0(t0)          # rewrite the very next instruction
+target:
+	addi a0, x0, 1        # addi a0, x0, 7 on the second pass
+	slli s0, s0, 4
+	or s0, s0, a0
+	addi t2, t2, 4
+	addi s1, s1, 1
+	blt s1, t3, again
+	mv a0, s0
+	call halt
+
+	.data
+	.align 2
+words:
+	.word 0x00100513      # addi a0, x0, 1
+	.word 0x00700513      # addi a0, x0, 7
+`
+
+func TestSelfModifyingCodeNextInstruction(t *testing.T) {
+	t.Run("plain", func(t *testing.T) {
+		c, _, _ := runPlain(t, smcNextBody)
+		if got := c.Regs[10]; got != 0x17 {
+			t.Errorf("a0 = %#x, want 0x17 (stale instruction executed)", got)
+		}
+	})
+	l := core.IFP2()
+	for _, decoupled := range []bool{false, true} {
+		name := "taint inline"
+		if decoupled {
+			name = "taint decoupled"
+		}
+		t.Run(name, func(t *testing.T) {
+			r := buildTaint(t, smcNextBody, core.NewPolicy(l, l.MustTag(core.ClassLI)))
+			if decoupled {
+				r.c.EnableDecoupledTaint()
+				defer r.c.StopDecoupled()
+			}
+			if err := runQuanta(r.c, 1_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if got := r.c.Regs[10].V; got != 0x17 {
+				t.Errorf("a0 = %#x, want 0x17 (stale instruction executed)", got)
+			}
+		})
+	}
+}
+
+// selfPatchBody stores a `beq x0, x0, 8` encoding over the storing
+// instruction itself. The word retired at selfpatch is the sw, a
+// fall-through: coverage must classify it from the executed word, not from
+// the branch now sitting in RAM, and so record no edge out of it.
+const selfPatchBody = `
+_start:
+	la t0, selfpatch
+	la t1, beqword
+	lw t1, 0(t1)
+selfpatch:
+	sw t1, 0(t0)
+	call halt
+
+	.data
+	.align 2
+beqword:
+	.word 0x00000463      # beq x0, x0, 8
+`
+
+func TestCoverageUsesExecutedWord(t *testing.T) {
+	check := func(t *testing.T, g *cover.GuestCov, img *asm.Image) {
+		t.Helper()
+		pc := img.MustSymbol("selfpatch")
+		if n := g.Count(pc); n != 1 {
+			t.Fatalf("selfpatch retired %d times, want 1", n)
+		}
+		if n := g.EdgeCount(pc, pc+4); n != 0 {
+			t.Errorf("edge selfpatch -> +4 recorded %d times; the executed sw is no branch", n)
+		}
+	}
+	newGuest := func() *cover.GuestCov {
+		g := cover.NewGuest()
+		g.Configure(testRAMBase, testRAMSize)
+		return g
+	}
+	t.Run("plain", func(t *testing.T) {
+		c, img, _ := buildPlain(t, selfPatchBody)
+		g := newGuest()
+		c.Cov = &cover.Cover{Guest: g}
+		var delay kernel.Time
+		if _, st, err := c.Run(1000, &delay); err != nil || st != RunHalt {
+			t.Fatalf("run: st=%v err=%v", st, err)
+		}
+		check(t, g, img)
+	})
+	l := core.IFP2()
+	for _, decoupled := range []bool{false, true} {
+		name := "taint inline"
+		if decoupled {
+			name = "taint decoupled"
+		}
+		t.Run(name, func(t *testing.T) {
+			r := buildTaint(t, selfPatchBody, core.NewPolicy(l, l.MustTag(core.ClassLI)))
+			g := newGuest()
+			r.c.Cov = &cover.Cover{Guest: g}
+			if decoupled {
+				// With coverage attached the decoupled core replays the
+				// hooks on the monitor from its retire records.
+				r.c.EnableDecoupledTaint()
+				defer r.c.StopDecoupled()
+			}
+			if err := runQuanta(r.c, 1000); err != nil {
+				t.Fatal(err)
+			}
+			check(t, g, r.img)
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package rv32
 
 import (
+	"math"
+
 	"vpdift/internal/core"
 	"vpdift/internal/cover"
 	"vpdift/internal/flight"
@@ -42,10 +44,10 @@ type TaintCore struct {
 	Obs *obs.Observer
 
 	// obsS1/obsS2 snapshot the source operands consumed by the current
-	// instruction for observeStep (the interpreter switch may overwrite
-	// them when rd aliases a source). Core fields rather than step locals
-	// so the disabled-observer hot loop does not carry two extra live
-	// values across the switch.
+	// instruction for observeStep and the replay records (the interpreter
+	// switch may overwrite them when rd aliases a source). Core fields
+	// rather than loop locals so the hook-free loop does not carry two
+	// extra live values across the switch.
 	obsS1, obsS2 core.Word
 
 	// ForceBusMem disables the DMI-style direct RAM path for data
@@ -116,12 +118,10 @@ type TaintCore struct {
 	dec *decState
 
 	// FR, when non-nil, is the always-on flight recorder: one compressed
-	// record per retire, captured post-switch on both the inline step and
-	// the decoupled front end (see flightcap.go) — never from the monitor
-	// goroutine, so the ring stays single-threaded. frAddr is the last
-	// load/store effective address, stashed by the memory helpers.
-	FR     *flight.Recorder
-	frAddr uint32
+	// record per retire, captured post-switch by both VP+ loops, inline and
+	// decoupled (see flightcap.go) — never from the monitor goroutine, so
+	// the ring stays single-threaded.
+	FR *flight.Recorder
 }
 
 // NewTaintCore builds a DIFT core over tainted RAM, enforcing the policy.
@@ -198,36 +198,6 @@ func (c *TaintCore) SetIRQ(line uint32, level bool) {
 
 // PendingIRQ reports whether any enabled interrupt is pending.
 func (c *TaintCore) PendingIRQ() bool { return c.mie.V&c.mip != 0 }
-
-// Run executes up to max instructions; see Core.Run. In decoupled mode
-// every return is a sync point: the ring is drained so callers observe
-// final tag state.
-func (c *TaintCore) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err error) {
-	if d := c.dec; d != nil {
-		if !d.started {
-			c.startDecoupled()
-		}
-		if !d.fullEmit {
-			return c.runDecoupled(max, delay)
-		}
-		defer c.drainDec()
-	}
-	for n < max {
-		if c.Halted {
-			return n, RunHalt, nil
-		}
-		st, err = c.step(delay)
-		if err != nil {
-			return n, st, err
-		}
-		n++
-		c.Instret++
-		if st != RunOK {
-			return n, st, nil
-		}
-	}
-	return n, RunOK, nil
-}
 
 func (c *TaintCore) takeIRQ() (bool, error) {
 	if c.mstatus.V&MstatusMIE == 0 {
@@ -367,326 +337,451 @@ func (c *TaintCore) foldFetchTag(b0, b1, b2, b3 core.TByte) core.Tag {
 	return core.Fold4(c.lat, b0, b1, b2, b3)
 }
 
-func (c *TaintCore) step(delay *kernel.Time) (RunStatus, error) {
-	if c.irqPoll {
-		if taken, err := c.takeIRQ(); err != nil {
-			return RunOK, err
-		} else if taken {
-			return RunOK, nil
-		}
-	}
-
-	pc := c.PC
-	off := pc - c.ramBase
-	var i Inst
-	var w uint32
-	if idx := int(off >> 2); off&3 == 0 && idx < len(c.ic.ents) {
-		e := &c.ic.ents[idx]
-		if e.state != 0 {
-			i = e.inst
-			w = e.word
-			if c.Tracer != nil {
-				c.Tracer(pc, w)
-			}
-			if c.Retire != nil {
-				c.Retire(pc, w)
-			}
-			if !e.allowed {
-				// Cached fetch-clearance verdict: the word's tag summary
-				// may not flow to the execution unit.
-				return RunOK, c.fetchViolation(pc, w, e.tag)
-			}
-		} else {
-			b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
-			w = uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
-			if c.Tracer != nil {
-				c.Tracer(pc, w)
-			}
-			if c.Retire != nil {
-				c.Retire(pc, w)
-			}
-			e.tag, e.allowed = 0, true
-			if c.checkFetch {
-				if c.Obs != nil {
-					c.Obs.Checks.Fetch++
-				}
-				e.tag = c.foldFetchTag(b0, b1, b2, b3)
-				e.allowed = c.lat.AllowedFlow(e.tag, c.fetchClear)
-			}
-			i = Decode(w)
-			e.inst = i
-			e.word = w
-			e.state = icValid
-			c.ic.noteFill(off)
-			if !e.allowed {
-				return RunOK, c.fetchViolation(pc, w, e.tag)
-			}
-		}
-	} else {
-		// Misaligned PC, fetch outside RAM, or the decode cache is off.
-		if off >= c.ramSize || off+4 > c.ramSize {
-			return RunOK, &BusError{What: "instruction fetch outside RAM", Addr: pc, PC: pc}
-		}
-		c.uncachedFetch++
-		b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
-		w = uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
-		if c.Tracer != nil {
-			c.Tracer(pc, w)
-		}
-		if c.Retire != nil {
-			c.Retire(pc, w)
-		}
-		if c.checkFetch {
-			if c.Obs != nil {
-				c.Obs.Checks.Fetch++
-			}
-			t := c.foldFetchTag(b0, b1, b2, b3)
-			if !c.lat.AllowedFlow(t, c.fetchClear) {
-				return RunOK, c.fetchViolation(pc, w, t)
-			}
-		}
-		i = Decode(w)
-	}
-
-	next := pc + 4
-	r := &c.Regs
-	if c.Obs != nil || c.dec != nil {
-		// The decoupled fullEmit mode needs the same pre-execution operand
-		// snapshot the observer does (retire records carry source tags).
-		c.obsS1, c.obsS2 = r[i.Rs1], r[i.Rs2]
-	}
-	switch i.Op {
-	case OpLUI:
-		c.set(i.Rd, core.W(uint32(i.Imm), c.def))
-	case OpAUIPC:
-		c.set(i.Rd, core.W(pc+uint32(i.Imm), c.def))
-	case OpJAL:
-		c.set(i.Rd, core.W(next, c.def))
-		next = pc + uint32(i.Imm)
-	case OpJALR:
-		// Indirect jump: the target register steers control flow, so it is
-		// subject to the branch clearance.
-		if !c.branchTagOK(r[i.Rs1].T) {
-			return RunOK, c.branchViolation(r[i.Rs1].T, pc, i.Rs1, obs.RegNone)
-		}
-		t := (r[i.Rs1].V + uint32(i.Imm)) &^ 1
-		c.set(i.Rd, core.W(next, c.def))
-		next = t
-	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		condTag := c.lat.LUB(r[i.Rs1].T, r[i.Rs2].T)
-		if !c.branchTagOK(condTag) {
-			return RunOK, c.branchViolation(condTag, pc, i.Rs1, i.Rs2)
-		}
-		a, b := r[i.Rs1].V, r[i.Rs2].V
-		var taken bool
-		switch i.Op {
-		case OpBEQ:
-			taken = a == b
-		case OpBNE:
-			taken = a != b
-		case OpBLT:
-			taken = int32(a) < int32(b)
-		case OpBGE:
-			taken = int32(a) >= int32(b)
-		case OpBLTU:
-			taken = a < b
-		default:
-			taken = a >= b
-		}
-		if taken {
-			next = pc + uint32(i.Imm)
-		}
-	case OpLB:
-		v, err := c.load(i, 1, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, core.W(uint32(int32(v.V<<24)>>24), v.T))
-	case OpLH:
-		v, err := c.load(i, 2, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, core.W(uint32(int32(v.V<<16)>>16), v.T))
-	case OpLW:
-		v, err := c.load(i, 4, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, v)
-	case OpLBU:
-		v, err := c.load(i, 1, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, v)
-	case OpLHU:
-		v, err := c.load(i, 2, delay, pc)
-		if err != nil {
-			return RunOK, err
-		}
-		c.set(i.Rd, v)
-	case OpSB:
-		if err := c.store(i, 1, delay, pc); err != nil {
-			return RunOK, err
-		}
-	case OpSH:
-		if err := c.store(i, 2, delay, pc); err != nil {
-			return RunOK, err
-		}
-	case OpSW:
-		if err := c.store(i, 4, delay, pc); err != nil {
-			return RunOK, err
-		}
-	case OpADDI:
-		c.aluImm(i, r[i.Rs1].V+uint32(i.Imm))
-	case OpSLTI:
-		c.aluImm(i, b2u(int32(r[i.Rs1].V) < i.Imm))
-	case OpSLTIU:
-		c.aluImm(i, b2u(r[i.Rs1].V < uint32(i.Imm)))
-	case OpXORI:
-		c.aluImm(i, r[i.Rs1].V^uint32(i.Imm))
-	case OpORI:
-		c.aluImm(i, r[i.Rs1].V|uint32(i.Imm))
-	case OpANDI:
-		c.aluImm(i, r[i.Rs1].V&uint32(i.Imm))
-	case OpSLLI:
-		c.aluImm(i, r[i.Rs1].V<<uint(i.Imm))
-	case OpSRLI:
-		c.aluImm(i, r[i.Rs1].V>>uint(i.Imm))
-	case OpSRAI:
-		c.aluImm(i, uint32(int32(r[i.Rs1].V)>>uint(i.Imm)))
-	case OpADD:
-		c.alu(i, r[i.Rs1].V+r[i.Rs2].V)
-	case OpSUB:
-		c.alu(i, r[i.Rs1].V-r[i.Rs2].V)
-	case OpSLL:
-		c.alu(i, r[i.Rs1].V<<(r[i.Rs2].V&31))
-	case OpSLT:
-		c.alu(i, b2u(int32(r[i.Rs1].V) < int32(r[i.Rs2].V)))
-	case OpSLTU:
-		c.alu(i, b2u(r[i.Rs1].V < r[i.Rs2].V))
-	case OpXOR:
-		c.alu(i, r[i.Rs1].V^r[i.Rs2].V)
-	case OpSRL:
-		c.alu(i, r[i.Rs1].V>>(r[i.Rs2].V&31))
-	case OpSRA:
-		c.alu(i, uint32(int32(r[i.Rs1].V)>>(r[i.Rs2].V&31)))
-	case OpOR:
-		c.alu(i, r[i.Rs1].V|r[i.Rs2].V)
-	case OpAND:
-		c.alu(i, r[i.Rs1].V&r[i.Rs2].V)
-	case OpMUL:
-		c.alu(i, r[i.Rs1].V*r[i.Rs2].V)
-	case OpMULH:
-		c.alu(i, uint32(uint64(int64(int32(r[i.Rs1].V))*int64(int32(r[i.Rs2].V)))>>32))
-	case OpMULHSU:
-		c.alu(i, uint32(uint64(int64(int32(r[i.Rs1].V))*int64(r[i.Rs2].V))>>32))
-	case OpMULHU:
-		c.alu(i, uint32(uint64(r[i.Rs1].V)*uint64(r[i.Rs2].V)>>32))
-	case OpDIV:
-		c.alu(i, divS(r[i.Rs1].V, r[i.Rs2].V))
-	case OpDIVU:
-		c.alu(i, divU(r[i.Rs1].V, r[i.Rs2].V))
-	case OpREM:
-		c.alu(i, remS(r[i.Rs1].V, r[i.Rs2].V))
-	case OpREMU:
-		c.alu(i, remU(r[i.Rs1].V, r[i.Rs2].V))
-	case OpFENCE:
-		// No-op: the memory model is sequentially consistent.
-	case OpFENCEI:
-		// Explicit fetch/store synchronization: drop every predecoded
-		// entry together with its fetch-tag summary.
-		c.ic.invalidateAll()
-	case OpECALL:
-		return RunOK, c.trap(CauseECallM, 0, pc)
-	case OpEBREAK:
-		return RunOK, c.trap(CauseBreakpoint, 0, pc)
-	case OpMRET:
-		// Return target comes from mepc: a control transfer steered by a
-		// register, so the branch clearance applies (like jalr).
-		if !c.branchTagOK(c.mepc.T) {
-			return RunOK, c.branchViolation(c.mepc.T, pc, obs.RegNone, obs.RegNone)
-		}
-		st := c.mstatus.V
-		if st&MstatusMPIE != 0 {
-			st |= MstatusMIE
-		} else {
-			st &^= MstatusMIE
-		}
-		st |= MstatusMPIE
-		c.mstatus = core.W(st, c.mstatus.T)
-		c.irqPoll = true
-		next = c.mepc.V
-	case OpWFI:
-		if !c.PendingIRQ() {
-			c.PC = next
-			return RunWFI, nil
-		}
-	case OpCSRRW, OpCSRRS, OpCSRRC, OpCSRRWI, OpCSRRSI, OpCSRRCI:
-		if err := c.csrOp(i, pc); err != nil {
-			return RunOK, err
-		}
-		if c.PC != pc {
-			return RunOK, nil
-		}
-	default:
-		return RunOK, c.trap(CauseIllegalInstr, c.fetchWord(off), pc)
-	}
-	if c.dec != nil && c.dec.fullEmit {
-		// Decoupled observability: hooks are replayed by the monitor from
-		// the retire record instead of running inline.
-		c.emitRetire(i, pc, off, next)
-	} else {
+// fill decodes the word at RAM offset off into e together with its
+// fetch-tag summary: the slow half of the fetch, shared by both VP+ loops
+// and taken on a decode-cache miss (and on every fetch when the cache is off
+// or the PC is misaligned).
+func (c *TaintCore) fill(e *icEntry, off uint32) {
+	b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
+	w := uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
+	e.tag, e.allowed = 0, true
+	if c.checkFetch {
 		if c.Obs != nil {
-			c.observeStep(i, pc, next)
+			c.Obs.Checks.Fetch++
 		}
-		if c.Cov != nil {
-			c.coverStep(i, pc, off, next)
+		e.tag = c.foldFetchTag(b0, b1, b2, b3)
+		e.allowed = c.lat.AllowedFlow(e.tag, c.fetchClear)
+	}
+	e.inst, e.word, e.state = Decode(w), w, icValid
+}
+
+// Run executes up to max instructions; see Core.Run, whose loop structure
+// and pc/instret bracketing rule this mirrors, plus the clearance checks and
+// tag propagation. In decoupled mode every return is a sync point: the ring
+// is drained so callers observe final tag state; filtered mode runs its own
+// loop (runDecoupled).
+func (c *TaintCore) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err error) {
+	if d := c.dec; d != nil {
+		if !d.started {
+			c.startDecoupled()
+		}
+		if !d.fullEmit {
+			return c.runDecoupled(max, delay)
 		}
 	}
-	if c.FR != nil {
-		// Flight capture, hand-inlined (see flightcap.go).
-		fl := flightFlags[i.Op]
-		if next != pc+4 {
-			fl |= flight.FlagTaken
-		}
-		if i.Rd != 0 && c.Regs[i.Rd].T != c.def {
-			fl |= flight.FlagTaintRd
-		}
-		var faddr uint32
-		if fl&(flight.FlagLoad|flight.FlagStore) != 0 {
-			faddr = c.frAddr
-		}
-		rec := c.FR.Slot()
-		rec.Time = c.Instret
-		rec.PC = pc
-		rec.Insn = w
-		rec.Addr = faddr
-		rec.Aux = 0
-		rec.Kind = flight.KindRetire
-		rec.Flags = fl
+	// One flag gates every per-retire hook, including replay mode's
+	// per-retire record; the flight recorder keeps its own guard.
+	hooked := c.dec != nil || c.Tracer != nil || c.Retire != nil || c.Obs != nil || c.Cov != nil
+	// storeChecks gates the outlined pre-write half of a store.
+	storeChecks := c.hasRegions || c.Obs != nil
+	start := c.Instret
+	end := start + max
+	if end < start {
+		end = math.MaxUint64
 	}
-	if c.PC == pc {
-		c.PC = next
+	pc, instret := c.PC, start
+	var scratch icEntry // decode target for fetches the cache cannot hold
+	for ; instret < end; instret++ {
+		if c.Halted {
+			return c.exit(pc, instret, start, RunHalt, nil)
+		}
+		if c.irqPoll {
+			c.PC, c.Instret = pc, instret
+			taken, err := c.takeIRQ()
+			pc, instret = c.PC, c.Instret
+			if err != nil {
+				return c.exit(pc, instret, start, RunOK, err)
+			}
+			if taken {
+				// Interrupt entry retires as one instruction; see Core.Run.
+				continue
+			}
+		}
+
+		off := pc - c.ramBase
+		e := &scratch
+		if idx := int(off >> 2); off&3 == 0 && idx < len(c.ic.ents) {
+			e = &c.ic.ents[idx]
+			if e.state == 0 {
+				c.PC, c.Instret = pc, instret
+				c.fill(e, off)
+				c.ic.noteFill(off)
+				pc, instret = c.PC, c.Instret
+			}
+		} else {
+			// Misaligned PC, fetch outside RAM, or the decode cache is off.
+			if off >= c.ramSize || off+4 > c.ramSize {
+				err := &BusError{What: "instruction fetch outside RAM", Addr: pc, PC: pc}
+				return c.exit(pc, instret, start, RunOK, err)
+			}
+			c.uncachedFetch++
+			c.PC, c.Instret = pc, instret
+			c.fill(e, off)
+			pc, instret = c.PC, c.Instret
+		}
+		i, w := e.inst, e.word
+		if hooked {
+			c.PC, c.Instret = pc, instret
+			c.fetchHooks(i, pc, w)
+			pc, instret = c.PC, c.Instret
+		}
+		if !e.allowed {
+			// Fetch clearance (a cached verdict on a hit): the word's tag
+			// summary may not flow to the execution unit.
+			c.PC, c.Instret = pc, instret
+			err := c.fetchViolation(pc, w, e.tag)
+			pc, instret = c.PC, c.Instret
+			return c.exit(pc, instret, start, RunOK, err)
+		}
+
+		var faddr uint32 // load/store effective address for the flight record, else 0
+		next := pc + 4
+		r := &c.Regs
+		switch i.Op {
+		case OpLUI:
+			c.set(i.Rd, core.W(uint32(i.Imm), c.def))
+		case OpAUIPC:
+			c.set(i.Rd, core.W(pc+uint32(i.Imm), c.def))
+		case OpJAL:
+			c.set(i.Rd, core.W(next, c.def))
+			next = pc + uint32(i.Imm)
+		case OpJALR:
+			// Indirect jump: the target register steers control flow, so it is
+			// subject to the branch clearance.
+			if !c.branchTagOK(r[i.Rs1].T) {
+				c.PC, c.Instret = pc, instret
+				err := c.branchViolation(r[i.Rs1].T, pc, i.Rs1, obs.RegNone)
+				pc, instret = c.PC, c.Instret
+				return c.exit(pc, instret, start, RunOK, err)
+			}
+			t := (r[i.Rs1].V + uint32(i.Imm)) &^ 1
+			c.set(i.Rd, core.W(next, c.def))
+			next = t
+		case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
+			condTag := c.lat.LUB(r[i.Rs1].T, r[i.Rs2].T)
+			if !c.branchTagOK(condTag) {
+				c.PC, c.Instret = pc, instret
+				err := c.branchViolation(condTag, pc, i.Rs1, i.Rs2)
+				pc, instret = c.PC, c.Instret
+				return c.exit(pc, instret, start, RunOK, err)
+			}
+			a, b := r[i.Rs1].V, r[i.Rs2].V
+			var taken bool
+			switch i.Op {
+			case OpBEQ:
+				taken = a == b
+			case OpBNE:
+				taken = a != b
+			case OpBLT:
+				taken = int32(a) < int32(b)
+			case OpBGE:
+				taken = int32(a) >= int32(b)
+			case OpBLTU:
+				taken = a < b
+			default:
+				taken = a >= b
+			}
+			if taken {
+				next = pc + uint32(i.Imm)
+			}
+		case OpLB, OpLH, OpLW, OpLBU, OpLHU:
+			base := r[i.Rs1]
+			addr := base.V + uint32(i.Imm)
+			faddr = addr
+			if !c.addrTagOK(base.T) {
+				c.PC, c.Instret = pc, instret
+				err := c.addrViolation(base.T, addr, pc, i.Rs1)
+				pc, instret = c.PC, c.Instret
+				return c.exit(pc, instret, start, RunOK, err)
+			}
+			size := uint32(memSize[i.Op])
+			var v core.Word
+			if a := addr - c.ramBase; !c.ForceBusMem && a < c.ramSize && a+size <= c.ramSize {
+				// Tag folding short-circuits when all accessed bytes carry
+				// the same tag (the overwhelmingly common case — whole words
+				// written by sw carry one tag), avoiding the LUB chain.
+				switch size {
+				case 1:
+					b := c.ram[a]
+					v = core.W(uint32(b.V), b.T)
+				case 2:
+					b0, b1 := c.ram[a], c.ram[a+1]
+					v = core.W(uint32(b0.V)|uint32(b1.V)<<8, core.Fold2(c.lat, b0, b1))
+				default:
+					b0, b1, b2, b3 := c.ram[a], c.ram[a+1], c.ram[a+2], c.ram[a+3]
+					v = core.W(uint32(b0.V)|uint32(b1.V)<<8|uint32(b2.V)<<16|uint32(b3.V)<<24, b0.T)
+					if b1.T != v.T || b2.T != v.T || b3.T != v.T {
+						c.PC, c.Instret = pc, instret
+						v.T = core.Fold4(c.lat, b0, b1, b2, b3)
+						pc, instret = c.PC, c.Instret
+					}
+				}
+			} else {
+				c.PC, c.Instret = pc, instret
+				var err error
+				v, err = c.loadBus(addr, size, delay, pc)
+				pc, instret = c.PC, c.Instret
+				if err != nil {
+					return c.exit(pc, instret, start, RunOK, err)
+				}
+			}
+			switch i.Op {
+			case OpLB:
+				v.V = uint32(int32(v.V<<24) >> 24)
+			case OpLH:
+				v.V = uint32(int32(v.V<<16) >> 16)
+			}
+			c.set(i.Rd, v)
+		case OpSB, OpSH, OpSW:
+			base, val := r[i.Rs1], r[i.Rs2]
+			addr := base.V + uint32(i.Imm)
+			faddr = addr
+			if !c.addrTagOK(base.T) {
+				c.PC, c.Instret = pc, instret
+				err := c.addrViolation(base.T, addr, pc, i.Rs1)
+				pc, instret = c.PC, c.Instret
+				return c.exit(pc, instret, start, RunOK, err)
+			}
+			size := uint32(memSize[i.Op])
+			a := addr - c.ramBase
+			ramOK := !c.ForceBusMem && a < c.ramSize && a+size <= c.ramSize
+			if storeChecks {
+				c.PC, c.Instret = pc, instret
+				err := c.storeChecks(i, addr, size, val, pc, w, ramOK)
+				pc, instret = c.PC, c.Instret
+				if err != nil {
+					return c.exit(pc, instret, start, RunOK, err)
+				}
+			}
+			if ramOK {
+				// Store propagation: every written byte carries the data tag.
+				switch size {
+				case 1:
+					c.ram[a] = core.TByte{V: byte(val.V), T: val.T}
+				case 2:
+					c.ram[a] = core.TByte{V: byte(val.V), T: val.T}
+					c.ram[a+1] = core.TByte{V: byte(val.V >> 8), T: val.T}
+				default:
+					c.ram[a] = core.TByte{V: byte(val.V), T: val.T}
+					c.ram[a+1] = core.TByte{V: byte(val.V >> 8), T: val.T}
+					c.ram[a+2] = core.TByte{V: byte(val.V >> 16), T: val.T}
+					c.ram[a+3] = core.TByte{V: byte(val.V >> 24), T: val.T}
+				}
+				// Keep the decode cache (and its fetch-tag summaries) coherent
+				// with self-modifying or freshly injected code.
+				if c.ic.overlaps(a, a+size) {
+					c.ic.invalidate(a, a+size)
+				}
+			} else {
+				c.PC, c.Instret = pc, instret
+				err := c.storeBus(addr, size, val, delay, pc)
+				pc, instret = c.PC, c.Instret
+				if err != nil {
+					return c.exit(pc, instret, start, RunOK, err)
+				}
+			}
+		case OpADDI:
+			c.aluImm(i, r[i.Rs1].V+uint32(i.Imm))
+		case OpSLTI:
+			c.aluImm(i, b2u(int32(r[i.Rs1].V) < i.Imm))
+		case OpSLTIU:
+			c.aluImm(i, b2u(r[i.Rs1].V < uint32(i.Imm)))
+		case OpXORI:
+			c.aluImm(i, r[i.Rs1].V^uint32(i.Imm))
+		case OpORI:
+			c.aluImm(i, r[i.Rs1].V|uint32(i.Imm))
+		case OpANDI:
+			c.aluImm(i, r[i.Rs1].V&uint32(i.Imm))
+		case OpSLLI:
+			c.aluImm(i, r[i.Rs1].V<<uint(i.Imm))
+		case OpSRLI:
+			c.aluImm(i, r[i.Rs1].V>>uint(i.Imm))
+		case OpSRAI:
+			c.aluImm(i, uint32(int32(r[i.Rs1].V)>>uint(i.Imm)))
+		case OpADD, OpSUB, OpSLL, OpSLT, OpSLTU, OpXOR, OpSRL, OpSRA, OpOR, OpAND,
+			OpMUL, OpMULH, OpMULHSU, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU:
+			a, b := r[i.Rs1].V, r[i.Rs2].V
+			var v uint32
+			switch i.Op {
+			case OpADD:
+				v = a + b
+			case OpSUB:
+				v = a - b
+			case OpSLL:
+				v = a << (b & 31)
+			case OpSLT:
+				v = b2u(int32(a) < int32(b))
+			case OpSLTU:
+				v = b2u(a < b)
+			case OpXOR:
+				v = a ^ b
+			case OpSRL:
+				v = a >> (b & 31)
+			case OpSRA:
+				v = uint32(int32(a) >> (b & 31))
+			case OpOR:
+				v = a | b
+			case OpAND:
+				v = a & b
+			case OpMUL:
+				v = a * b
+			case OpMULH:
+				v = uint32(uint64(int64(int32(a))*int64(int32(b))) >> 32)
+			case OpMULHSU:
+				v = uint32(uint64(int64(int32(a))*int64(b)) >> 32)
+			case OpMULHU:
+				v = uint32(uint64(a) * uint64(b) >> 32)
+			case OpDIV:
+				v = divS(a, b)
+			case OpDIVU:
+				v = divU(a, b)
+			case OpREM:
+				v = remS(a, b)
+			default:
+				v = remU(a, b)
+			}
+			// The paper's overloaded-operator semantics (Fig. 3 line 35):
+			// the operator's value, the tag joined from both sources.
+			// Provenance is recorded post-retire in observeStep, keeping the
+			// join inline here.
+			c.set(i.Rd, core.W(v, c.lat.LUB(r[i.Rs1].T, r[i.Rs2].T)))
+		case OpFENCE:
+			// No-op: the memory model is sequentially consistent.
+		case OpFENCEI:
+			// Explicit fetch/store synchronization: drop every predecoded
+			// entry together with its fetch-tag summary.
+			c.ic.invalidateAll()
+		case OpMRET:
+			// Return target comes from mepc: a control transfer steered by a
+			// register, so the branch clearance applies (like jalr).
+			if !c.branchTagOK(c.mepc.T) {
+				c.PC, c.Instret = pc, instret
+				err := c.branchViolation(c.mepc.T, pc, obs.RegNone, obs.RegNone)
+				pc, instret = c.PC, c.Instret
+				return c.exit(pc, instret, start, RunOK, err)
+			}
+			c.mret()
+			next = c.mepc.V
+		case OpWFI:
+			if !c.PendingIRQ() {
+				return c.exit(next, instret+1, start, RunWFI, nil)
+			}
+		case OpCSRRW, OpCSRRS, OpCSRRC, OpCSRRWI, OpCSRRSI, OpCSRRCI:
+			c.PC, c.Instret = pc, instret
+			trapped, err := c.csrOp(i, pc)
+			pc, instret = c.PC, c.Instret
+			if err != nil {
+				return c.exit(pc, instret, start, RunOK, err)
+			}
+			if trapped { // illegal CSR: the trap replaced pc
+				continue
+			}
+		default:
+			// ECALL, EBREAK and undecodable words trap; see Core.Run.
+			c.PC, c.Instret = pc, instret
+			err := c.trap(trapCause(i.Op, w, pc))
+			pc, instret = c.PC, c.Instret
+			if err != nil {
+				return c.exit(pc, instret, start, RunOK, err)
+			}
+			continue
+		}
+		if c.FR != nil {
+			// Flight capture, hand-inlined (see flightcap.go).
+			fl := flightFlags[i.Op]
+			if next != pc+4 {
+				fl |= flight.FlagTaken
+			}
+			if i.Rd != 0 && r[i.Rd].T != c.def {
+				fl |= flight.FlagTaintRd
+			}
+			rec := c.FR.Slot()
+			rec.Time = instret
+			rec.PC = pc
+			rec.Insn = w
+			rec.Addr = faddr // zero unless a load or store set it
+			rec.Aux = 0
+			rec.Kind = flight.KindRetire
+			rec.Flags = fl
+		}
+		if hooked {
+			c.PC, c.Instret = pc, instret
+			c.retireHooks(i, pc, w, next)
+			pc, instret = c.PC, c.Instret
+		}
+		pc = next
 	}
-	return RunOK, nil
+	return c.exit(pc, instret, start, RunOK, nil)
+}
+
+// exit writes the loop's pc and instret back, drains the decoupled ring
+// (a no-op inline and in filtered mode, where the ring stays empty) and
+// forms Run's results.
+func (c *TaintCore) exit(pc uint32, instret, start uint64, st RunStatus, err error) (uint64, RunStatus, error) {
+	c.PC, c.Instret = pc, instret
+	c.drainDec()
+	return instret - start, st, err
+}
+
+// fetchHooks runs the per-fetch hooks before the instruction i at pc, with
+// word w, executes: the tracer and profiler, and the snapshot of the source
+// operands that observeStep and the replay records consume (the switch may
+// overwrite them when rd aliases a source).
+func (c *TaintCore) fetchHooks(i Inst, pc, w uint32) {
+	if c.Tracer != nil {
+		c.Tracer(pc, w)
+	}
+	if c.Retire != nil {
+		c.Retire(pc, w)
+	}
+	c.obsS1, c.obsS2 = c.Regs[i.Rs1], c.Regs[i.Rs2]
+}
+
+// retireHooks runs the post-retire hooks for instruction i at pc, whose
+// executed word is w and successor next. In replay mode the monitor runs
+// them from the retire record instead.
+func (c *TaintCore) retireHooks(i Inst, pc, w, next uint32) {
+	if c.dec != nil {
+		c.emitRetire(i, pc, w, next)
+		return
+	}
+	if c.Obs != nil {
+		c.observeStep(i, pc, w, next)
+	}
+	if c.Cov != nil {
+		c.coverStep(i, pc, w, next)
+	}
+}
+
+// mret restores the interrupt enable on MRET: MIE <- MPIE; MPIE <- 1. The
+// branch-clearance check on mepc is the caller's.
+func (c *TaintCore) mret() {
+	st := c.mstatus.V
+	if st&MstatusMPIE != 0 {
+		st |= MstatusMIE
+	} else {
+		st &^= MstatusMIE
+	}
+	st |= MstatusMPIE
+	c.mstatus = core.W(st, c.mstatus.T)
+	c.irqPoll = true
 }
 
 // coverStep feeds the coverage views for one retired instruction: guest
 // block/edge coverage, taint heatmap samples (store sites and the register
 // file — safe post-switch because stores never write back a register, so
 // Regs[rs1]/Regs[rs2] still hold the address base and data tag), and the
-// policy audit's per-clearance-point check counts. Called from step behind
-// a single `c.Cov != nil` guard, like observeStep, so the disabled hot loop
-// pays one predictable branch. Violating instructions return from step
-// early and are attributed through PolicyAudit.NoteViolation by the
+// policy audit's per-clearance-point check counts. w is the executed word,
+// not the RAM word at pc, which a store may have just rewritten. Called
+// from retireHooks behind Run's single hook flag, so the hook-free loop
+// pays one predictable branch. Violating instructions leave the loop
+// before it and are attributed through PolicyAudit.NoteViolation by the
 // platform; a retire under an enabled fetch check counts as one enforcement
 // even when the decode cache memoized the verdict.
-func (c *TaintCore) coverStep(i Inst, pc, off, next uint32) {
+func (c *TaintCore) coverStep(i Inst, pc, w, next uint32) {
 	cv := c.Cov
 	if g := cv.Guest; g != nil {
-		g.OnRetire(pc, c.fetchWord(off), next)
+		g.OnRetire(pc, w, next)
 	}
 	if t := cv.Taint; t != nil {
 		t.OnRetireRegs(&c.Regs)
@@ -723,15 +818,9 @@ func (c *TaintCore) coverStep(i Inst, pc, off, next uint32) {
 	}
 }
 
-// alu writes an R-type result: value computed by the caller, tag joined from
-// both sources — the paper's overloaded-operator semantics (Fig. 3 line 35).
-// Provenance recording happens post-retire in observeStep so these helpers
-// stay inlinable in the interpreter switch.
-func (c *TaintCore) alu(i Inst, v uint32) {
-	c.set(i.Rd, core.W(v, c.lat.LUB(c.Regs[i.Rs1].T, c.Regs[i.Rs2].T)))
-}
-
 // aluImm writes an I-type ALU result carrying the source register's tag.
+// Provenance recording happens post-retire in observeStep so this stays
+// inlinable in the interpreter switch.
 func (c *TaintCore) aluImm(i Inst, v uint32) {
 	c.set(i.Rd, core.W(v, c.Regs[i.Rs1].T))
 }
@@ -757,20 +846,19 @@ func (c *TaintCore) insnWord(pc uint32) uint32 {
 // observeStep records the retired instruction's provenance: the
 // instruction-boundary bookkeeping (BeginInsn), op events for ALU results,
 // load events and the register assignments that consume them, and
-// indirect-jump PC provenance. Called from step behind a single
-// `c.Obs != nil` guard; the *pre-execution* source operands are snapshot in
-// c.obsS1/c.obsS2 before the switch (which may overwrite them when rd
-// aliases a source) rather than passed as arguments, so the
-// disabled-observer path carries no extra live values. Deferring all
-// recording to one post-retire call keeps alu/aluImm/set and the fetch fast
-// path free of per-instruction observer branches — the disabled-observer
-// hot loop compiles to the pre-observability code plus one check. Store
-// events are the exception: they must be emitted inside store, before the
-// bus transaction triggers a peripheral's output-clearance check.
-func (c *TaintCore) observeStep(i Inst, pc, next uint32) {
+// indirect-jump PC provenance, for the executed word w. Called from
+// retireHooks behind Run's single hook flag; the *pre-execution* source
+// operands are snapshot in c.obsS1/c.obsS2 by fetchHooks (the switch may
+// overwrite them when rd aliases a source) rather than passed as
+// arguments, so the hook-free path carries no extra live values. Deferring
+// all recording to one post-retire call keeps the ALU and memory cases free
+// of per-instruction observer branches. Store events are the exception:
+// storeChecks emits them before the bus transaction can trigger a
+// peripheral's output-clearance check.
+func (c *TaintCore) observeStep(i Inst, pc, w, next uint32) {
 	o := c.Obs
 	s1, s2 := c.obsS1, c.obsS2
-	o.BeginInsn(pc, c.insnWord(pc))
+	o.BeginInsn(pc, w)
 	switch i.Op {
 	case OpJALR:
 		// Order matters: OnJump reads rs1's provenance before AssignReg can
@@ -815,36 +903,10 @@ func (c *TaintCore) fetchViolation(pc, w uint32, t core.Tag) *core.Violation {
 	return v
 }
 
-// load reads size bytes little-endian, zero-extended, folding byte tags.
-func (c *TaintCore) load(i Inst, size uint32, delay *kernel.Time, pc uint32) (core.Word, error) {
-	base := c.Regs[i.Rs1]
-	addr := base.V + uint32(i.Imm)
-	c.frAddr = addr
-	if !c.addrTagOK(base.T) {
-		return core.Word{}, c.addrViolation(base.T, addr, pc, i.Rs1)
-	}
-	off := addr - c.ramBase
-	if !c.ForceBusMem && off < c.ramSize && off+size <= c.ramSize {
-		// Tag folding short-circuits when all accessed bytes carry the same
-		// tag (the overwhelmingly common case — whole words written by sw
-		// carry one tag), avoiding the per-byte LUB chain.
-		var w core.Word
-		switch size {
-		case 1:
-			b := c.ram[off]
-			w = core.W(uint32(b.V), b.T)
-		case 2:
-			b0, b1 := c.ram[off], c.ram[off+1]
-			w = core.W(uint32(b0.V)|uint32(b1.V)<<8, core.Fold2(c.lat, b0, b1))
-		default:
-			b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
-			w = core.W(
-				uint32(b0.V)|uint32(b1.V)<<8|uint32(b2.V)<<16|uint32(b3.V)<<24,
-				core.Fold4(c.lat, b0, b1, b2, b3),
-			)
-		}
-		return w, nil
-	}
+// loadBus performs a load outside the RAM window (or any load under
+// ForceBusMem) as a TLM read of size bytes, little-endian, zero-extended,
+// joining the byte tags.
+func (c *TaintCore) loadBus(addr, size uint32, delay *kernel.Time, pc uint32) (core.Word, error) {
 	if c.dec != nil {
 		// A peripheral may record input-classification events during the
 		// transaction; drain so they interleave with replayed events in
@@ -865,15 +927,11 @@ func (c *TaintCore) load(i Inst, size uint32, delay *kernel.Time, pc uint32) (co
 	return core.W(v, t), nil
 }
 
-// store writes size bytes little-endian, each carrying the value's tag,
-// after the memory-address and region store-clearance checks.
-func (c *TaintCore) store(i Inst, size uint32, delay *kernel.Time, pc uint32) error {
-	base, val := c.Regs[i.Rs1], c.Regs[i.Rs2]
-	addr := base.V + uint32(i.Imm)
-	c.frAddr = addr
-	if !c.addrTagOK(base.T) {
-		return c.addrViolation(base.T, addr, pc, i.Rs1)
-	}
+// storeChecks is the outlined pre-write half of an inline-mode store, run
+// when the policy has store regions or an observer is attached: the region
+// store clearance, then the observer's store event. w is the executing
+// store's word; ramOK reports whether the write takes the direct RAM path.
+func (c *TaintCore) storeChecks(i Inst, addr, size uint32, val core.Word, pc, w uint32, ramOK bool) error {
 	if c.hasRegions {
 		if c.Obs != nil {
 			c.Obs.Checks.Store++
@@ -883,45 +941,30 @@ func (c *TaintCore) store(i Inst, size uint32, delay *kernel.Time, pc uint32) er
 				v.PC = pc
 				if c.Obs != nil {
 					c.drainDec()
-					c.Obs.SetInsn(pc, c.insnWord(pc))
+					c.Obs.SetInsn(pc, w)
 					c.Obs.OnViolation(v, c.Obs.RegSource(i.Rs2), 0)
 				}
 			}
 			return err
 		}
 	}
-	off := addr - c.ramBase
-	ramOK := !c.ForceBusMem && off < c.ramSize && off+size <= c.ramSize
 	if c.Obs != nil && (c.dec == nil || !ramOK) {
-		// Emitted here, not in observeStep: the bus write below may trigger a
-		// peripheral's output-clearance check, which links to this event via
-		// LastStore. In decoupled mode RAM-store events replay on the monitor
-		// instead; only MMIO stores fire inline, after a drain keeps the
-		// event order identical.
+		// Emitted here, not in observeStep: the bus write that follows may
+		// trigger a peripheral's output-clearance check, which links to this
+		// event via LastStore. In decoupled mode RAM-store events replay on
+		// the monitor instead; only MMIO stores fire inline, after a drain
+		// keeps the event order identical.
 		c.drainDec()
-		c.Obs.SetInsn(pc, c.insnWord(pc))
+		c.Obs.SetInsn(pc, w)
 		c.Obs.OnStore(addr, size, i.Rs2, val)
 	}
-	if ramOK {
-		switch size {
-		case 1:
-			c.ram[off] = core.TByte{V: byte(val.V), T: val.T}
-		case 2:
-			c.ram[off] = core.TByte{V: byte(val.V), T: val.T}
-			c.ram[off+1] = core.TByte{V: byte(val.V >> 8), T: val.T}
-		default:
-			c.ram[off] = core.TByte{V: byte(val.V), T: val.T}
-			c.ram[off+1] = core.TByte{V: byte(val.V >> 8), T: val.T}
-			c.ram[off+2] = core.TByte{V: byte(val.V >> 16), T: val.T}
-			c.ram[off+3] = core.TByte{V: byte(val.V >> 24), T: val.T}
-		}
-		// Keep the decode cache (and its fetch-tag summaries) coherent with
-		// self-modifying or freshly injected code.
-		if c.ic.overlaps(off, off+size) {
-			c.ic.invalidate(off, off+size)
-		}
-		return nil
-	}
+	return nil
+}
+
+// storeBus performs a store outside the RAM window (or any store under
+// ForceBusMem) as a TLM write of size bytes, each carrying the data tag, so
+// the target's output clearance sees the exact tag.
+func (c *TaintCore) storeBus(addr, size uint32, val core.Word, delay *kernel.Time, pc uint32) error {
 	for j := uint32(0); j < size; j++ {
 		c.mmioBuf[j] = core.TByte{V: byte(val.V >> (8 * j)), T: val.T}
 	}
@@ -935,12 +978,13 @@ func (c *TaintCore) store(i Inst, size uint32, delay *kernel.Time, pc uint32) er
 
 // csrOp executes the Zicsr instructions with tag propagation: the
 // destination register receives the CSR's tag, and register-sourced writes
-// carry the source register's tag into the CSR.
-func (c *TaintCore) csrOp(i Inst, pc uint32) error {
+// carry the source register's tag into the CSR. trapped reports an illegal
+// CSR access, which entered the trap handler instead.
+func (c *TaintCore) csrOp(i Inst, pc uint32) (trapped bool, err error) {
 	csr := uint32(i.Imm)
 	old, ok := c.csrRead(csr)
 	if !ok {
-		return c.trap(CauseIllegalInstr, 0, pc)
+		return true, c.trap(CauseIllegalInstr, 0, pc)
 	}
 	var operand core.Word
 	imm := i.Op == OpCSRRWI || i.Op == OpCSRRSI || i.Op == OpCSRRCI
@@ -963,11 +1007,11 @@ func (c *TaintCore) csrOp(i Inst, pc uint32) error {
 	}
 	if write {
 		if !c.csrWrite(csr, newVal) {
-			return c.trap(CauseIllegalInstr, 0, pc)
+			return true, c.trap(CauseIllegalInstr, 0, pc)
 		}
 	}
 	c.set(i.Rd, old)
-	return nil
+	return false, nil
 }
 
 func (c *TaintCore) csrRead(csr uint32) (core.Word, bool) {
