@@ -105,8 +105,19 @@ type MemWindow struct {
 	Tags  string `json:"tags,omitempty"`
 }
 
-// Hex32 renders a 32-bit value the way every bundle field does.
-func Hex32(v uint32) string { return fmt.Sprintf("0x%08x", v) }
+// Hex32 renders a 32-bit value the way every bundle field does: "0x" and
+// eight lower-case hex digits. Bundles format every address and register
+// this way, so it fills a fixed buffer rather than going through fmt.
+func Hex32(v uint32) string {
+	const digits = "0123456789abcdef"
+	var b [10]byte
+	b[0], b[1] = '0', 'x'
+	for i := 9; i >= 2; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
+}
 
 // Snapshot carries the platform state the bundle builder needs. The
 // function fields keep this package free of architecture imports: the

@@ -79,6 +79,10 @@ type Recorder struct {
 	// probe with no allocation, keeping the steady-state capture zero-alloc.
 	names  []string
 	nameID map[string]uint16
+	// lastName/lastID memoize the most recent intern: MarkBus runs on every
+	// MMIO access, and a polling guest hits the same range back to back.
+	lastName string
+	lastID   uint16
 }
 
 // New builds a recorder with the given ring capacity, rounded up to a power
@@ -173,7 +177,11 @@ func (r *Recorder) MarkFault(time uint64, pc, insn, addr uint32) {
 }
 
 func (r *Recorder) intern(name string) uint16 {
+	if r.lastID != 0 && name == r.lastName {
+		return r.lastID
+	}
 	if id, ok := r.nameID[name]; ok {
+		r.lastName, r.lastID = name, id
 		return id
 	}
 	// Ids are 1-based; 0 means "no name". Cap the table well below uint16
@@ -184,6 +192,7 @@ func (r *Recorder) intern(name string) uint16 {
 	r.names = append(r.names, name)
 	id := uint16(len(r.names))
 	r.nameID[name] = id
+	r.lastName, r.lastID = name, id
 	return id
 }
 

@@ -49,11 +49,27 @@ func TestWindowPartialFill(t *testing.T) {
 	}
 }
 
+func TestHex32(t *testing.T) {
+	for _, tc := range []struct {
+		v    uint32
+		want string
+	}{
+		{0, "0x00000000"},
+		{0xffffffff, "0xffffffff"},
+		{0x80000120, "0x80000120"},
+	} {
+		if got := Hex32(tc.v); got != tc.want {
+			t.Errorf("Hex32(%#x) = %q, want %q", tc.v, got, tc.want)
+		}
+	}
+}
+
 func TestMarkNameInterning(t *testing.T) {
 	r := New(8)
 	r.MarkBus(1, "uart0", 0x10000000, true, 4)
 	r.MarkBus(2, "uart0", 0x10000004, false, 1)
 	r.MarkEvent(3, "wfi-sleep")
+	r.MarkBus(4, "uart0", 0x10000008, false, 4) // back to uart0 past the last-name memo
 	w := r.Window()
 	if got := r.NameOf(w[0].Aux); got != "uart0" {
 		t.Errorf("NameOf(bus) = %q, want uart0", got)
@@ -63,6 +79,10 @@ func TestMarkNameInterning(t *testing.T) {
 	}
 	if got := r.NameOf(w[2].Aux); got != "wfi-sleep" {
 		t.Errorf("NameOf(mark) = %q, want wfi-sleep", got)
+	}
+	if w[3].Aux != w[0].Aux || w[2].Aux == w[0].Aux {
+		t.Errorf("interleaved names got ids %d, %d, %d; want uart0's id back after wfi-sleep's",
+			w[0].Aux, w[2].Aux, w[3].Aux)
 	}
 	if r.NameOf(0) != "" || r.NameOf(999) != "" {
 		t.Error("NameOf must be empty for id 0 and unknown ids")

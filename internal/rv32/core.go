@@ -72,7 +72,12 @@ type Core struct {
 	mtval    uint32
 	mscratch uint32
 
+	// mmioBuf and mmioTxn are the one MMIO transaction loadBus/storeBus
+	// reuse: the bus and its trace hooks copy what they need and keep no
+	// pointer, so a per-access payload would only be a heap allocation (the
+	// pointer escapes through the Target interface).
 	mmioBuf [4]core.TByte
+	mmioTxn tlm.Payload
 
 	// Retire, when non-nil, is invoked once per executed instruction with
 	// its pc and raw word — the guest profiler's hook (internal/trace).
@@ -212,6 +217,28 @@ func (c *Core) fill(e *icEntry, off uint32) {
 	e.inst, e.word, e.state = Decode(w), w, icValid
 }
 
+// fillMiss decodes the word at RAM offset off (inside RAM) when the
+// decode-cache hit test failed. An aligned word past the grown cache grows
+// it and fills its entry; a misaligned PC, or any fetch with the cache off,
+// decodes into scratch as an uncached fetch. It returns the filled entry.
+// It must stay a call, not code in the loops: inlined, the growth's
+// allocation would keep off live across a call and add a stack spill to
+// every fetch, hits included. go:noinline holds that under any inlining
+// budget or profile-guided build.
+//
+//go:noinline
+func (c *Core) fillMiss(off uint32, scratch *icEntry) *icEntry {
+	if off&3 == 0 && c.ic.grow(off>>2) {
+		e := &c.ic.ents[off>>2]
+		c.fill(e, off)
+		c.ic.noteFill(off)
+		return e
+	}
+	c.uncachedFetch++
+	c.fill(scratch, off)
+	return scratch
+}
+
 // memSize gives each load/store opcode its access width in bytes.
 var memSize = [numOps]uint8{
 	OpLB: 1, OpLBU: 1, OpSB: 1,
@@ -277,14 +304,14 @@ func (c *Core) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err 
 				pc, instret = c.PC, c.Instret
 			}
 		} else {
-			// Misaligned PC, fetch outside RAM, or the decode cache is off.
+			// A word past the grown decode cache, misaligned PC, fetch outside
+			// RAM, or the decode cache is off.
 			if off >= c.ramSize || off+4 > c.ramSize {
 				err := &BusError{What: "instruction fetch outside RAM", Addr: pc, PC: pc}
 				return c.exit(pc, instret, start, RunOK, err)
 			}
-			c.uncachedFetch++
 			c.PC, c.Instret = pc, instret
-			c.fill(e, off)
+			e = c.fillMiss(off, e)
 			pc, instret = c.PC, c.Instret
 		}
 		i, w := e.inst, e.word
@@ -596,8 +623,9 @@ func remU(a, b uint32) uint32 {
 // loadBus performs a load outside the RAM window as a TLM read of size
 // bytes (1, 2 or 4), little-endian, zero-extended.
 func (c *Core) loadBus(addr, size uint32, delay *kernel.Time, pc uint32) (uint32, error) {
-	p := tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-	c.bus.Transport(&p, delay)
+	p := &c.mmioTxn
+	*p = tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
+	c.bus.Transport(p, delay)
 	if p.Resp != tlm.OK {
 		return 0, &BusError{What: "load " + p.Resp.String(), Addr: addr, PC: pc}
 	}
@@ -614,8 +642,9 @@ func (c *Core) storeBus(addr, val, size uint32, delay *kernel.Time, pc uint32) e
 	for j := uint32(0); j < size; j++ {
 		c.mmioBuf[j] = core.TByte{V: byte(val >> (8 * j))}
 	}
-	p := tlm.Payload{Cmd: tlm.Write, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-	c.bus.Transport(&p, delay)
+	p := &c.mmioTxn
+	*p = tlm.Payload{Cmd: tlm.Write, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
+	c.bus.Transport(p, delay)
 	if p.Resp != tlm.OK {
 		return &BusError{What: "store " + p.Resp.String(), Addr: addr, PC: pc}
 	}

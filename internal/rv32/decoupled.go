@@ -505,9 +505,8 @@ func (c *TaintCore) runDecoupled(max uint64, delay *kernel.Time) (n uint64, st R
 				err := &BusError{What: "instruction fetch outside RAM", Addr: pc, PC: pc}
 				return c.decExit(mask, pc, instret, start, RunOK, err)
 			}
-			c.uncachedFetch++
 			c.PC, c.Instret = pc, instret
-			c.fill(e, off)
+			e = c.fillMiss(off, e)
 			pc, instret = c.PC, c.Instret
 		}
 		i, w := e.inst, e.word

@@ -6,8 +6,12 @@ import "vpdift/internal/core"
 // cores. Interpreting a guest spends a large share of its time re-decoding
 // the same text words; real VPs (the original riscv-vp among them) eliminate
 // that with an instruction cache over the DMI region, and this is the Go
-// analog: a direct-mapped array with one entry per word-aligned RAM word,
-// indexed by (pc - ramBase) >> 2.
+// analog: a direct-mapped array of word-aligned RAM words, indexed by
+// (pc - ramBase) >> 2. The array grows on demand: a core starts with no
+// entries, and the first fetch past the end doubles it (capped at RAM) from
+// the miss path, so a session pays for the code it runs rather than four
+// bytes of cache per RAM byte. The hit path is one bounds compare either
+// way.
 //
 // Correctness rests on write invalidation. Every path that can change RAM
 // contents (or, on the VP+, RAM byte *tags*) drops the covered entries:
@@ -61,11 +65,34 @@ type icache struct {
 	lo    uint32 // lowest filled byte offset (inclusive)
 	hi    uint32 // highest filled byte offset (exclusive); 0 when empty
 	fills uint64 // decode-cache miss count (each fill is one slow decode)
+	words uint32 // RAM words ents may grow to cover; 0 when the cache is off
 }
 
-// newICache sizes the cache to cover a RAM of ramSize bytes.
+// icMinGrow is the smallest entry count the cache grows to: 16 KiB of
+// entries covering the first 4 KiB of RAM, past crt0 and a small guest.
+const icMinGrow = 1024
+
+// newICache returns an empty cache that may grow to cover a RAM of ramSize
+// bytes. It allocates nothing; entries come with the first fetches.
 func newICache(ramSize uint32) icache {
-	return icache{ents: make([]icEntry, ramSize/4), lo: ^uint32(0)}
+	return icache{lo: ^uint32(0), words: ramSize / 4}
+}
+
+// grow extends ents to cover word index idx, doubling (at least icMinGrow
+// entries, capped at RAM). Existing entries and the watermark survive. It
+// reports whether idx is now covered: false past RAM or with the cache off.
+func (ic *icache) grow(idx uint32) bool {
+	if idx >= ic.words {
+		return false
+	}
+	n := max(2*uint32(len(ic.ents)), icMinGrow)
+	for n <= idx {
+		n *= 2
+	}
+	ents := make([]icEntry, min(n, ic.words))
+	copy(ents, ic.ents)
+	ic.ents = ents
+	return true
 }
 
 // noteFill extends the watermark over the word at byte offset off.
@@ -90,11 +117,12 @@ func (ic *icache) invalidate(start, end uint32) {
 	if !ic.overlaps(start, end) || start >= end {
 		return
 	}
+	n := uint32(len(ic.ents))
 	first := start >> 2
-	last := (end - 1) >> 2
-	if last >= uint32(len(ic.ents)) {
-		last = uint32(len(ic.ents)) - 1
+	if first >= n {
+		return // past the grown cache: nothing there was ever filled
 	}
+	last := min((end-1)>>2, n-1)
 	for i := first; i <= last; i++ {
 		ic.ents[i].state = 0
 	}
@@ -106,12 +134,8 @@ func (ic *icache) invalidateAll() {
 	if ic.hi == 0 {
 		return
 	}
-	first := ic.lo >> 2
-	last := (ic.hi - 1) >> 2
-	if last >= uint32(len(ic.ents)) {
-		last = uint32(len(ic.ents)) - 1
-	}
-	clear(ic.ents[first : last+1])
+	n := uint32(len(ic.ents))
+	clear(ic.ents[min(ic.lo>>2, n):min((ic.hi-1)>>2+1, n)])
 	ic.lo = ^uint32(0)
 	ic.hi = 0
 }

@@ -1,6 +1,8 @@
 package rv32
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"vpdift/internal/asm"
@@ -135,6 +137,9 @@ func TestICacheWatermarkAndInvalidate(t *testing.T) {
 	if ic.overlaps(0, 64) {
 		t.Error("empty cache must not report overlap")
 	}
+	if !ic.grow(0) || len(ic.ents) != 16 {
+		t.Fatalf("grow(0) on a 64-byte RAM gave %d entries, want 16", len(ic.ents))
+	}
 	ic.ents[2].state = icValid
 	ic.noteFill(8)
 	ic.ents[5].state = icValid
@@ -166,6 +171,243 @@ func TestICacheWatermarkAndInvalidate(t *testing.T) {
 	ic.invalidate(60, 100)
 	if ic.ents[15].state != 0 {
 		t.Error("clamped invalidate must still drop the last entry")
+	}
+}
+
+func TestICacheGrowsOnDemand(t *testing.T) {
+	const ramSize = 1 << 20
+	ic := newICache(ramSize)
+	if len(ic.ents) != 0 {
+		t.Fatalf("a new cache holds %d entries, want none", len(ic.ents))
+	}
+	if !ic.grow(10) || len(ic.ents) != icMinGrow {
+		t.Fatalf("first grow gave %d entries, want %d", len(ic.ents), icMinGrow)
+	}
+	ic.ents[10].state = icValid
+	ic.ents[10].word = 0x00100513
+	ic.noteFill(40)
+	// Doubling from 1024 until word 5000 is covered: 2048, 4096, 8192.
+	if !ic.grow(5000) || len(ic.ents) != 8192 {
+		t.Fatalf("grow(5000) gave %d entries, want 8192", len(ic.ents))
+	}
+	if e := ic.ents[10]; e.state != icValid || e.word != 0x00100513 {
+		t.Errorf("entry 10 lost across growth: %+v", e)
+	}
+	if ic.lo != 40 || ic.hi != 44 || ic.fills != 1 {
+		t.Errorf("watermark/fills changed by growth: lo=%d hi=%d fills=%d", ic.lo, ic.hi, ic.fills)
+	}
+	// Growth is capped at RAM, and nothing past RAM is ever covered.
+	if !ic.grow(ramSize/4-1) || len(ic.ents) != ramSize/4 {
+		t.Errorf("grow to the last word gave %d entries, want %d", len(ic.ents), ramSize/4)
+	}
+	if ic.grow(ramSize / 4) {
+		t.Error("grow past RAM must report false")
+	}
+	if ic.ents[10].state != icValid {
+		t.Error("entry 10 lost across the capped growth")
+	}
+
+	// Invalidations past the grown slice are no-ops: nothing was filled
+	// there. The watermark is pushed past len(ents) by hand to make the
+	// ranges overlap it.
+	ic = newICache(ramSize)
+	ic.invalidate(0, ramSize)
+	ic.invalidateAll()
+	ic.noteFill(0x80000)
+	ic.invalidate(0x80000, 0x80004) // empty slice
+	ic.invalidateAll()
+	ic.grow(1)
+	ic.ents[1].state = icValid
+	ic.noteFill(4)
+	ic.noteFill(0x80000)
+	ic.invalidate(0x10000, 0x80004)
+	if ic.ents[1].state != icValid {
+		t.Error("invalidate past len(ents) dropped entry 1")
+	}
+	ic.invalidateAll()
+	if ic.ents[1].state != 0 || ic.overlaps(0, ramSize) {
+		t.Error("invalidateAll with a watermark past len(ents) must still clear and reset")
+	}
+
+	// A disabled cache never grows.
+	var off icache
+	if off.grow(0) || len(off.ents) != 0 {
+		t.Error("a disabled cache must not grow")
+	}
+}
+
+// farCodeBody copies a two-instruction routine (`li a0, 1; ret`) from the
+// text to farCode, far above the image, and calls it: the decode cache has
+// to grow mid-run to hold it. It then patches the routine's first word with
+// `addi a0, x0, 7` loaded from .data and calls it again, so the store must
+// invalidate the grown entry. a0 packs both calls: 0x17 on success. The
+// copied words come from the text, so under an integrity policy they keep
+// the text's tag and pass the fetch clearance; the patch word comes from
+// .data and must not.
+const farCode = testRAMBase + 0x40000
+
+var farCodeBody = fmt.Sprintf(`
+	.equ FAR, %#x
+_start:
+	li s2, FAR
+	la t0, routine
+	lw t1, 0(t0)
+	sw t1, 0(s2)
+	lw t1, 4(t0)
+	sw t1, 4(s2)
+	jalr s2               # li a0, 1 at FAR
+	mv s0, a0
+	la t0, patch
+	lw t1, 0(t0)
+	sw t1, 0(s2)          # patch the cached far word
+	jalr s2               # must now return 7
+	slli s0, s0, 4
+	or a0, a0, s0
+	call halt
+
+routine:
+	li a0, 1
+	ret
+
+	.data
+	.align 2
+patch:
+	.word 0x00700513      # addi a0, x0, 7
+`, farCode)
+
+// checkGrown requires a decode cache that covers farCode without having
+// grown to the whole RAM, no uncached fetch, and the same fill count and
+// watermark as ref, a run whose cache was grown to one entry per RAM word
+// before it started (the cache's size before it grew on demand).
+func checkGrown(t *testing.T, ic, ref *icache, uncached uint64) {
+	t.Helper()
+	idx := uint32(farCode-testRAMBase) >> 2
+	if n := uint32(len(ic.ents)); n <= idx || n >= testRAMSize/4 {
+		t.Errorf("cache holds %d entries; want more than %d (covering the far code) and fewer than %d (all RAM)",
+			n, idx, testRAMSize/4)
+	}
+	if uncached != 0 {
+		t.Errorf("%d fetches bypassed the cache, want 0", uncached)
+	}
+	if ic.fills != ref.fills || ic.lo != ref.lo || ic.hi != ref.hi {
+		t.Errorf("fills=%d lo=%#x hi=%#x; a RAM-sized cache gives fills=%d lo=%#x hi=%#x",
+			ic.fills, ic.lo, ic.hi, ref.fills, ref.lo, ref.hi)
+	}
+}
+
+// growAll grows a cache to one entry per RAM word.
+func growAll(ic *icache) { ic.grow(ic.words - 1) }
+
+func TestDecodeCacheGrowsForFarCode(t *testing.T) {
+	t.Run("plain", func(t *testing.T) {
+		run := func(preGrow bool) *Core {
+			c, _, _ := buildPlain(t, farCodeBody)
+			if preGrow {
+				growAll(&c.ic)
+			}
+			var delay kernel.Time
+			if _, st, err := c.Run(1_000_000, &delay); err != nil || st != RunHalt {
+				t.Fatalf("run: st=%v err=%v", st, err)
+			}
+			return c
+		}
+		c, ref := run(false), run(true)
+		if got := c.Regs[10]; got != 0x17 {
+			t.Errorf("a0 = %#x, want 0x17 (stale far instruction executed)", got)
+		}
+		checkGrown(t, &c.ic, &ref.ic, c.uncachedFetch)
+	})
+	l := core.IFP2()
+	hi, li := l.MustTag(core.ClassHI), l.MustTag(core.ClassLI)
+	img := asm.MustAssemble(farCodeBody+testEpilogue, asm.Options{Base: testRAMBase})
+	integrity := func() *core.Policy {
+		return core.NewPolicy(l, li).
+			WithFetchClearance(hi).
+			WithRegion(core.RegionRule{
+				Name: "text", Start: img.Base, End: img.Base + uint32(len(img.Text)),
+				Classify: true, Class: hi,
+			})
+	}
+	for _, decoupled := range []bool{false, true} {
+		name := "taint inline"
+		if decoupled {
+			name = "taint decoupled"
+		}
+		run := func(pol *core.Policy, preGrow bool) (*TaintCore, error) {
+			r := buildTaint(t, farCodeBody, pol)
+			if preGrow {
+				growAll(&r.c.ic)
+			}
+			if decoupled {
+				r.c.EnableDecoupledTaint()
+				defer r.c.StopDecoupled()
+			}
+			return r.c, runQuanta(r.c, 1_000_000)
+		}
+		t.Run(name, func(t *testing.T) {
+			c, err := run(core.NewPolicy(l, li), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := run(core.NewPolicy(l, li), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Regs[10].V; got != 0x17 {
+				t.Errorf("a0 = %#x, want 0x17 (stale far instruction executed)", got)
+			}
+			checkGrown(t, &c.ic, &ref.ic, c.uncachedFetch)
+		})
+		t.Run(name+" fetch clearance", func(t *testing.T) {
+			c, err := run(integrity(), false)
+			var v *core.Violation
+			if !errors.As(err, &v) || v.Kind != core.KindFetchClearance {
+				t.Fatalf("err = %v, want a fetch-clearance violation", err)
+			}
+			if v.PC != farCode {
+				t.Errorf("violation at pc=%#x, want the patched far word %#x", v.PC, farCode)
+			}
+			// The first call ran the far copy cleanly, so the verdict came
+			// from a re-check of the patched word in the grown cache.
+			if got := c.Regs[8].V; got != 1 {
+				t.Errorf("s0 = %#x, want 1 from the clean first call", got)
+			}
+			ref, _ := run(integrity(), true)
+			checkGrown(t, &c.ic, &ref.ic, c.uncachedFetch)
+		})
+	}
+	t.Run("parity", func(t *testing.T) {
+		runBothModes(t, farCodeBody, integrity())
+	})
+}
+
+func TestDisabledDecodeCacheNeverGrows(t *testing.T) {
+	c, _, _ := buildPlain(t, farCodeBody)
+	c.DisableDecodeCache()
+	var delay kernel.Time
+	if _, st, err := c.Run(1_000_000, &delay); err != nil || st != RunHalt {
+		t.Fatalf("run: st=%v err=%v", st, err)
+	}
+	if got := c.Regs[10]; got != 0x17 {
+		t.Errorf("plain a0 = %#x, want 0x17", got)
+	}
+	if fills, uncached := c.DecodeCacheStats(); len(c.ic.ents) != 0 || fills != 0 || uncached != c.Instret {
+		t.Errorf("plain: %d entries, %d fills, %d uncached of %d fetches; want 0, 0, all",
+			len(c.ic.ents), fills, uncached, c.Instret)
+	}
+
+	l := core.IFP2()
+	r := buildTaint(t, farCodeBody, core.NewPolicy(l, l.MustTag(core.ClassLI)))
+	r.c.DisableDecodeCache()
+	if err := r.run(t); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.c.Regs[10].V; got != 0x17 {
+		t.Errorf("taint a0 = %#x, want 0x17", got)
+	}
+	if fills, uncached := r.c.DecodeCacheStats(); len(r.c.ic.ents) != 0 || fills != 0 || uncached != r.c.Instret {
+		t.Errorf("taint: %d entries, %d fills, %d uncached of %d fetches; want 0, 0, all",
+			len(r.c.ic.ents), fills, uncached, r.c.Instret)
 	}
 }
 

@@ -94,7 +94,10 @@ type TaintCore struct {
 	mtval    core.Word
 	mscratch core.Word
 
+	// mmioBuf and mmioTxn are the one reused MMIO transaction; see
+	// Core.mmioTxn.
 	mmioBuf [4]core.TByte
+	mmioTxn tlm.Payload
 
 	// Retire, when non-nil, is invoked once per executed instruction with
 	// its pc and raw word — the guest profiler's hook (internal/trace).
@@ -355,6 +358,22 @@ func (c *TaintCore) fill(e *icEntry, off uint32) {
 	e.inst, e.word, e.state = Decode(w), w, icValid
 }
 
+// fillMiss is the decode-cache miss path shared by both VP+ loops; see
+// Core.fillMiss, including why it must not be inlined.
+//
+//go:noinline
+func (c *TaintCore) fillMiss(off uint32, scratch *icEntry) *icEntry {
+	if off&3 == 0 && c.ic.grow(off>>2) {
+		e := &c.ic.ents[off>>2]
+		c.fill(e, off)
+		c.ic.noteFill(off)
+		return e
+	}
+	c.uncachedFetch++
+	c.fill(scratch, off)
+	return scratch
+}
+
 // Run executes up to max instructions; see Core.Run, whose loop structure
 // and pc/instret bracketing rule this mirrors, plus the clearance checks and
 // tag propagation. In decoupled mode every return is a sync point: the ring
@@ -409,14 +428,14 @@ func (c *TaintCore) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus,
 				pc, instret = c.PC, c.Instret
 			}
 		} else {
-			// Misaligned PC, fetch outside RAM, or the decode cache is off.
+			// A word past the grown decode cache, misaligned PC, fetch outside
+			// RAM, or the decode cache is off.
 			if off >= c.ramSize || off+4 > c.ramSize {
 				err := &BusError{What: "instruction fetch outside RAM", Addr: pc, PC: pc}
 				return c.exit(pc, instret, start, RunOK, err)
 			}
-			c.uncachedFetch++
 			c.PC, c.Instret = pc, instret
-			c.fill(e, off)
+			e = c.fillMiss(off, e)
 			pc, instret = c.PC, c.Instret
 		}
 		i, w := e.inst, e.word
@@ -913,8 +932,9 @@ func (c *TaintCore) loadBus(addr, size uint32, delay *kernel.Time, pc uint32) (c
 		// program order.
 		c.drainDec()
 	}
-	p := tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-	c.bus.Transport(&p, delay)
+	p := &c.mmioTxn
+	*p = tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
+	c.bus.Transport(p, delay)
 	if p.Resp != tlm.OK {
 		return core.Word{}, &BusError{What: "load " + p.Resp.String(), Addr: addr, PC: pc}
 	}
@@ -968,8 +988,9 @@ func (c *TaintCore) storeBus(addr, size uint32, val core.Word, delay *kernel.Tim
 	for j := uint32(0); j < size; j++ {
 		c.mmioBuf[j] = core.TByte{V: byte(val.V >> (8 * j)), T: val.T}
 	}
-	p := tlm.Payload{Cmd: tlm.Write, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
-	c.bus.Transport(&p, delay)
+	p := &c.mmioTxn
+	*p = tlm.Payload{Cmd: tlm.Write, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
+	c.bus.Transport(p, delay)
 	if p.Resp != tlm.OK {
 		return &BusError{What: "store " + p.Resp.String(), Addr: addr, PC: pc}
 	}

@@ -9,6 +9,7 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -57,7 +58,15 @@ type Factory struct {
 	// read-only after assembly (Load copies them into RAM), so sharing one
 	// across sessions is safe; policies are still built fresh per session.
 	imgMu  sync.Mutex
-	images map[string]*asm.Image
+	images map[string]memoImage
+}
+
+// memoImage is one memoized guest: the image and the marshalled SHA-256
+// state after hashing its flattened bytes. Key resumes from that state, so
+// an image is flattened and hashed once, when it is assembled.
+type memoImage struct {
+	img *asm.Image
+	sum []byte
 }
 
 // NewFactory returns a Factory with default tuning.
@@ -70,6 +79,7 @@ var _ telemetry.SessionFactory = (*Factory)(nil)
 // policy object and the drive constructor, bound to a platform later).
 type resolved struct {
 	img     *asm.Image
+	imgSum  []byte // memoImage.sum
 	policy  *core.Policy
 	polName string
 	horizon kernel.Time
@@ -90,23 +100,30 @@ func (f *Factory) microPrimes() int {
 	return DefaultMicroPrimes
 }
 
-// cachedImage returns the memoized image for a cache key, assembling it with
-// build on the first request.
-func (f *Factory) cachedImage(key string, build func() (*asm.Image, error)) (*asm.Image, error) {
+// cachedImage returns the memoized image for a cache key, assembling and
+// hashing it with build on the first request.
+func (f *Factory) cachedImage(key string, build func() (*asm.Image, error)) (memoImage, error) {
 	f.imgMu.Lock()
 	defer f.imgMu.Unlock()
-	if img, ok := f.images[key]; ok {
-		return img, nil
+	if m, ok := f.images[key]; ok {
+		return m, nil
 	}
 	img, err := build()
 	if err != nil {
-		return nil, err
+		return memoImage{}, err
+	}
+	h := sha256.New()
+	h.Write(img.Flatten())
+	sum, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		return memoImage{}, err
 	}
 	if f.images == nil {
-		f.images = make(map[string]*asm.Image)
+		f.images = make(map[string]memoImage)
 	}
-	f.images[key] = img
-	return img, nil
+	m := memoImage{img: img, sum: sum}
+	f.images[key] = m
+	return m, nil
 }
 
 // Names lists every workload name the factory accepts, for error messages
@@ -149,13 +166,14 @@ func (f *Factory) resolve(spec telemetry.SessionSpec) (resolved, error) {
 }
 
 func (f *Factory) resolveImmo(spec telemetry.SessionSpec, horizon kernel.Time) (resolved, error) {
-	img, err := f.cachedImage("immo", func() (*asm.Image, error) {
+	m, err := f.cachedImage("immo", func() (*asm.Image, error) {
 		return immo.Firmware(immo.VariantFixed), nil
 	})
 	if err != nil {
 		return resolved{}, err
 	}
-	r := resolved{img: img, horizon: horizon}
+	img := m.img
+	r := resolved{img: img, imgSum: m.sum, horizon: horizon}
 	switch spec.Policy {
 	case "", "default", "base":
 		r.policy, r.polName = immo.BasePolicy(img), "base"
@@ -188,13 +206,14 @@ func (f *Factory) resolveImmo(spec telemetry.SessionSpec, horizon kernel.Time) (
 }
 
 func (f *Factory) resolveMicro(spec telemetry.SessionSpec, horizon kernel.Time) (resolved, error) {
-	img, err := f.cachedImage(fmt.Sprintf("micro|%d", f.microPrimes()), func() (*asm.Image, error) {
+	m, err := f.cachedImage(fmt.Sprintf("micro|%d", f.microPrimes()), func() (*asm.Image, error) {
 		return guest.Primes(f.microPrimes()).Image, nil
 	})
 	if err != nil {
 		return resolved{}, err
 	}
-	r := resolved{img: img, horizon: horizon}
+	img := m.img
+	r := resolved{img: img, imgSum: m.sum, horizon: horizon}
 	switch spec.Policy {
 	case "", "default", "code-injection":
 		// The standard code-injection policy Table II uses for rows without
@@ -220,11 +239,12 @@ func (f *Factory) resolveAttack(spec telemetry.SessionSpec, horizon kernel.Time)
 		if !a.Applicable() {
 			return resolved{}, fmt.Errorf("serve: attack wk-%d not applicable: %s", num, a.NAReason)
 		}
-		img, err := f.cachedImage(spec.Workload, a.Build)
+		m, err := f.cachedImage(spec.Workload, a.Build)
 		if err != nil {
 			return resolved{}, err
 		}
-		r := resolved{img: img, horizon: horizon}
+		img := m.img
+		r := resolved{img: img, imgSum: m.sum, horizon: horizon}
 		if r.horizon == 0 {
 			r.horizon = kernel.S
 		}
@@ -268,13 +288,14 @@ func (f *Factory) resolvePerf(spec telemetry.SessionSpec, horizon kernel.Time) (
 		if w.Drive != nil {
 			return resolved{}, fmt.Errorf("serve: workload %q needs an interactive driver; request \"immo\" instead", w.Name)
 		}
-		img, err := f.cachedImage(w.Name+"|"+scaleName, func() (*asm.Image, error) {
+		m, err := f.cachedImage(w.Name+"|"+scaleName, func() (*asm.Image, error) {
 			return w.Build(), nil
 		})
 		if err != nil {
 			return resolved{}, err
 		}
-		r := resolved{img: img, horizon: horizon}
+		img := m.img
+		r := resolved{img: img, imgSum: m.sum, horizon: horizon}
 		if r.horizon == 0 {
 			r.horizon = w.Horizon
 		}
@@ -300,8 +321,12 @@ func (f *Factory) Key(spec telemetry.SessionSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	// Resume from the image's saved hash state: the same bytes as hashing
+	// the flattened image here, without flattening it again.
 	h := sha256.New()
-	h.Write(r.img.Flatten())
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(r.imgSum); err != nil {
+		return "", err
+	}
 	var hdr [24]byte
 	binary.LittleEndian.PutUint32(hdr[0:], r.img.Base)
 	binary.LittleEndian.PutUint32(hdr[4:], r.img.Entry)
@@ -367,8 +392,10 @@ func (f *Factory) Build(spec telemetry.SessionSpec) (telemetry.SessionConfig, er
 // ramFor sizes a session's tagged RAM to its guest instead of the 8 MiB
 // default: every guest in the repo carries its stack inside its own BSS
 // (crt0's __stack_top), so RAM only has to cover the image plus scratch
-// headroom. Under load this is the dominant per-session allocation — the VP+
-// tags every RAM byte — so right-sizing it is worth ~10x session throughput.
+// headroom. Every per-session allocation that scales with RAM shrinks with
+// it: the VP+'s tagged RAM (two bytes per guest byte) and, before the
+// decode cache grew on demand, the four-times-RAM cache, which was the
+// larger of the two. Right-sizing was worth ~10x session throughput.
 func ramFor(img *asm.Image) uint32 {
 	const headroom = 1 << 20 // 1 MiB past the image for DMA scratch and slack
 	need := img.End() - soc.RAMBase + headroom

@@ -67,6 +67,33 @@ func TestKeyDeterministicAndDiscriminating(t *testing.T) {
 	}
 }
 
+// TestKeyPinned pins literal keys: FileStore entries and campaign dedup
+// outlive the process, so the key of an unchanged spec must never change,
+// however Key computes it. The second round of lookups reuses the cached
+// image hash and must agree with the first.
+func TestKeyPinned(t *testing.T) {
+	f := NewFactory()
+	for round := 0; round < 2; round++ {
+		for _, tc := range []struct {
+			spec telemetry.SessionSpec
+			want string
+		}{
+			{telemetry.SessionSpec{Workload: "micro"}, "78102c6c21782b7ac44523e99cb572a4"},
+			{telemetry.SessionSpec{Workload: "wk-3", Policy: "none", Stimulus: "s7", Cover: true}, "573c6b622c441351f38ddaba05ea3e99"},
+			{telemetry.SessionSpec{Workload: "immo", Policy: "per-byte", HorizonMs: 20, SampleUs: 100, Observe: true}, "a5252dfec52788816acecc9a536ff848"},
+			{telemetry.SessionSpec{Workload: "qsort", Scale: "small"}, "17b3339988a33b47374e35d20efd1b30"},
+		} {
+			got, err := f.Key(tc.spec)
+			if err != nil {
+				t.Fatalf("Key(%+v): %v", tc.spec, err)
+			}
+			if got != tc.want {
+				t.Errorf("round %d: Key(%+v) = %s, want %s", round, tc.spec, got, tc.want)
+			}
+		}
+	}
+}
+
 func TestBuildMicroRunsToExit(t *testing.T) {
 	f := NewFactory()
 	sc, err := f.Build(telemetry.SessionSpec{Workload: "micro"})

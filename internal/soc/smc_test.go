@@ -1,6 +1,7 @@
 package soc
 
 import (
+	"runtime"
 	"testing"
 
 	"vpdift/internal/core"
@@ -118,4 +119,32 @@ victim:
 newinsn:
 	li a0, 7
 `)
+}
+
+// TestVPPlusSetupAllocatesUnderThreeTimesRAM bounds the bytes a VP+
+// session allocates before it runs. The tagged RAM takes two bytes per guest
+// byte; the decode cache grows with the code a guest executes, so it must
+// not add a RAM-sized share up front (a cache with one 16-byte entry per RAM
+// word used to add four more).
+func TestVPPlusSetupAllocatesUnderThreeTimesRAM(t *testing.T) {
+	img := guest.MustProgram(smcDMAGuest)
+	l := core.IFP2()
+	pol := core.NewPolicy(l, l.MustTag(core.ClassLI))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pl, err := New(Config{Policy: pol, RAMSize: DefaultRAMSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Shutdown()
+	if err := pl.Load(img); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*DefaultRAMSize)
+	t.Logf("soc.New + Load: %d bytes, %.2fx RAM", got, float64(got)/DefaultRAMSize)
+	if got >= limit {
+		t.Errorf("soc.New + Load allocated %d bytes, want < %d (3x RAM)", got, limit)
+	}
 }
