@@ -196,7 +196,7 @@ func BenchmarkAblationTaintMemViaTLM(b *testing.B) {
 	var instr uint64
 	var wall float64
 	for i := 0; i < b.N; i++ {
-		m, err := perf.RunOnceCfg(w, true, true)
+		m, err := perf.RunOnceOpts(w, perf.Options{DIFT: true, TLMMem: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,9 +25,6 @@
 //	GET    /api/v1/trace                  fleet lifecycle as a Chrome trace
 //	GET    /healthz, /readyz, /metrics    liveness, readiness, Prometheus exposition
 //
-// The pre-v1 routes (/api/sessions...) still work and answer with a
-// Deprecation header pointing at their successors.
-//
 // Results are deduplicated by (image, policy, stimulus) content hash;
 // -store persists them to a directory so repeat submissions across restarts
 // are cache hits. On SIGINT/SIGTERM the server stops intake, drains the

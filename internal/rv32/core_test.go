@@ -600,7 +600,8 @@ func TestDisassembleSmoke(t *testing.T) {
 
 // TestDifferentialPlainVsTaint runs generated programs on both cores and
 // requires identical architectural state — the TaintCore must differ from
-// Core only by its tag tracking, never in values.
+// Core only by its tag tracking, never in values — and, since every input
+// carries the policy default, tag state that never leaves the default.
 func TestDifferentialPlainVsTaint(t *testing.T) {
 	seed := uint32(0x1234567)
 	rnd := func() uint32 {
@@ -682,6 +683,21 @@ func TestDifferentialPlainVsTaint(t *testing.T) {
 		for off := uint32(0x80000); off < 0x80000+256; off++ {
 			if plainRAM.Data()[off] != ram.Data()[off].V {
 				t.Fatalf("trial %d: memory diverged at +0x%x", trial, off)
+			}
+		}
+		// VP ≡ VP+ on bottom tags: with every input at the policy default,
+		// no computation, load, store or CSR round trip may raise a tag.
+		for r := 0; r < 32; r++ {
+			if tc.Regs[r].T != pol.Default {
+				t.Fatalf("trial %d: x%d tag = %d, want the default %d", trial, r, tc.Regs[r].T, pol.Default)
+			}
+		}
+		if tc.mscratch.T != pol.Default {
+			t.Fatalf("trial %d: mscratch tag = %d, want the default %d", trial, tc.mscratch.T, pol.Default)
+		}
+		for off := uint32(0x80000); off < 0x80000+256; off++ {
+			if tg := ram.Data()[off].T; tg != pol.Default {
+				t.Fatalf("trial %d: RAM +0x%x tag = %d, want the default %d", trial, off, tg, pol.Default)
 			}
 		}
 	}

@@ -26,10 +26,10 @@ var flightFlags = func() [numOps]uint8 {
 }()
 
 // The capture itself is hand-inlined near the end of each interpreter
-// loop — Core.Run, TaintCore.Run and TaintCore.runDecoupled — behind a
-// `c.FR != nil` guard: it must cost a handful of instructions per retire,
-// not a function call, and as a helper it exceeds the compiler's inlining
-// budget. All three copies follow the same shape —
+// loop — Core.Run and TaintCore.Run — behind a `c.FR != nil` guard: it
+// must cost a handful of instructions per retire, not a function call, and
+// as a helper it exceeds the compiler's inlining budget. Both copies
+// follow the same shape —
 //
 //	fl := flightFlags[i.Op]
 //	if next != pc+4 { fl |= flight.FlagTaken }
@@ -40,10 +40,7 @@ var flightFlags = func() [numOps]uint8 {
 // effective address and every other instruction leaves 0 (recomputing the
 // address after the switch would be wrong when rd aliases rs1), and
 // instret is the loop's local instruction count, the value Instret has
-// while the instruction executes. Register tags are exact at
-// every instruction boundary in both VP+ loops (see decoupled.go's
-// ownership protocol), so the captured window is bit-identical across
-// inline and decoupled runs.
+// while the instruction executes.
 
 // RegName returns the ABI name of architectural register r (0..31).
 func RegName(r int) string {

@@ -328,56 +328,48 @@ func TestDecodeCacheGrowsForFarCode(t *testing.T) {
 				Classify: true, Class: hi,
 			})
 	}
-	for _, decoupled := range []bool{false, true} {
-		name := "taint inline"
-		if decoupled {
-			name = "taint decoupled"
+	run := func(pol *core.Policy, preGrow bool) (*TaintCore, error) {
+		r := buildTaint(t, farCodeBody, pol)
+		if preGrow {
+			growAll(&r.c.ic)
 		}
-		run := func(pol *core.Policy, preGrow bool) (*TaintCore, error) {
-			r := buildTaint(t, farCodeBody, pol)
-			if preGrow {
-				growAll(&r.c.ic)
-			}
-			if decoupled {
-				r.c.EnableDecoupledTaint()
-				defer r.c.StopDecoupled()
-			}
-			return r.c, runQuanta(r.c, 1_000_000)
-		}
-		t.Run(name, func(t *testing.T) {
-			c, err := run(core.NewPolicy(l, li), false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := run(core.NewPolicy(l, li), true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := c.Regs[10].V; got != 0x17 {
-				t.Errorf("a0 = %#x, want 0x17 (stale far instruction executed)", got)
-			}
-			checkGrown(t, &c.ic, &ref.ic, c.uncachedFetch)
-		})
-		t.Run(name+" fetch clearance", func(t *testing.T) {
-			c, err := run(integrity(), false)
-			var v *core.Violation
-			if !errors.As(err, &v) || v.Kind != core.KindFetchClearance {
-				t.Fatalf("err = %v, want a fetch-clearance violation", err)
-			}
-			if v.PC != farCode {
-				t.Errorf("violation at pc=%#x, want the patched far word %#x", v.PC, farCode)
-			}
-			// The first call ran the far copy cleanly, so the verdict came
-			// from a re-check of the patched word in the grown cache.
-			if got := c.Regs[8].V; got != 1 {
-				t.Errorf("s0 = %#x, want 1 from the clean first call", got)
-			}
-			ref, _ := run(integrity(), true)
-			checkGrown(t, &c.ic, &ref.ic, c.uncachedFetch)
-		})
+		return r.c, runQuanta(r.c, 1_000_000)
 	}
+	t.Run("taint inline", func(t *testing.T) {
+		c, err := run(core.NewPolicy(l, li), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := run(core.NewPolicy(l, li), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Regs[10].V; got != 0x17 {
+			t.Errorf("a0 = %#x, want 0x17 (stale far instruction executed)", got)
+		}
+		checkGrown(t, &c.ic, &ref.ic, c.uncachedFetch)
+	})
+	t.Run("taint inline fetch clearance", func(t *testing.T) {
+		c, err := run(integrity(), false)
+		var v *core.Violation
+		if !errors.As(err, &v) || v.Kind != core.KindFetchClearance {
+			t.Fatalf("err = %v, want a fetch-clearance violation", err)
+		}
+		if v.PC != farCode {
+			t.Errorf("violation at pc=%#x, want the patched far word %#x", v.PC, farCode)
+		}
+		// The first call ran the far copy cleanly, so the verdict came
+		// from a re-check of the patched word in the grown cache.
+		if got := c.Regs[8].V; got != 1 {
+			t.Errorf("s0 = %#x, want 1 from the clean first call", got)
+		}
+		ref, _ := run(integrity(), true)
+		checkGrown(t, &c.ic, &ref.ic, c.uncachedFetch)
+	})
+	// Resuming at quantum boundaries must not disturb the grown cache's
+	// verdicts: small quanta end in the same state as one long run.
 	t.Run("parity", func(t *testing.T) {
-		runBothModes(t, farCodeBody, integrity())
+		runBothQuanta(t, farCodeBody, integrity())
 	})
 }
 
@@ -452,25 +444,15 @@ func TestSelfModifyingCodeNextInstruction(t *testing.T) {
 		}
 	})
 	l := core.IFP2()
-	for _, decoupled := range []bool{false, true} {
-		name := "taint inline"
-		if decoupled {
-			name = "taint decoupled"
+	t.Run("taint inline", func(t *testing.T) {
+		r := buildTaint(t, smcNextBody, core.NewPolicy(l, l.MustTag(core.ClassLI)))
+		if err := runQuanta(r.c, 1_000_000); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			r := buildTaint(t, smcNextBody, core.NewPolicy(l, l.MustTag(core.ClassLI)))
-			if decoupled {
-				r.c.EnableDecoupledTaint()
-				defer r.c.StopDecoupled()
-			}
-			if err := runQuanta(r.c, 1_000_000); err != nil {
-				t.Fatal(err)
-			}
-			if got := r.c.Regs[10].V; got != 0x17 {
-				t.Errorf("a0 = %#x, want 0x17 (stale instruction executed)", got)
-			}
-		})
-	}
+		if got := r.c.Regs[10].V; got != 0x17 {
+			t.Errorf("a0 = %#x, want 0x17 (stale instruction executed)", got)
+		}
+	})
 }
 
 // selfPatchBody stores a `beq x0, x0, 8` encoding over the storing
@@ -519,25 +501,13 @@ func TestCoverageUsesExecutedWord(t *testing.T) {
 		check(t, g, img)
 	})
 	l := core.IFP2()
-	for _, decoupled := range []bool{false, true} {
-		name := "taint inline"
-		if decoupled {
-			name = "taint decoupled"
+	t.Run("taint inline", func(t *testing.T) {
+		r := buildTaint(t, selfPatchBody, core.NewPolicy(l, l.MustTag(core.ClassLI)))
+		g := newGuest()
+		r.c.Cov = &cover.Cover{Guest: g}
+		if err := runQuanta(r.c, 1000); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			r := buildTaint(t, selfPatchBody, core.NewPolicy(l, l.MustTag(core.ClassLI)))
-			g := newGuest()
-			r.c.Cov = &cover.Cover{Guest: g}
-			if decoupled {
-				// With coverage attached the decoupled core replays the
-				// hooks on the monitor from its retire records.
-				r.c.EnableDecoupledTaint()
-				defer r.c.StopDecoupled()
-			}
-			if err := runQuanta(r.c, 1000); err != nil {
-				t.Fatal(err)
-			}
-			check(t, g, r.img)
-		})
-	}
+		check(t, g, r.img)
+	})
 }

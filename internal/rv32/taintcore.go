@@ -115,42 +115,31 @@ type TaintCore struct {
 	// counts (internal/cover). One predictable branch per retire when nil.
 	Cov *cover.Cover
 
-	// dec, when non-nil, decouples tag propagation onto the parallel
-	// monitor goroutine (see decoupled.go). Nil in inline mode: the classic
-	// hot loop pays only predictable not-taken branches, like Tracer/Obs.
-	dec *decState
-
 	// FR, when non-nil, is the always-on flight recorder: one compressed
-	// record per retire, captured post-switch by both VP+ loops, inline and
-	// decoupled (see flightcap.go) — never from the monitor goroutine, so
-	// the ring stays single-threaded.
+	// record per retire, captured post-switch by the interpreter loop (see
+	// flightcap.go).
 	FR *flight.Recorder
 }
 
 // NewTaintCore builds a DIFT core over tainted RAM, enforcing the policy.
 // The policy must have been validated against its lattice.
 func NewTaintCore(ram *mem.Memory, ramBase uint32, bus *tlm.Bus, pol *core.Policy) *TaintCore {
-	// The propagation engine (internal/core's Prop) is the single source of
-	// the flattened policy switches; the inline core copies them into its own
-	// fields to keep the hot-loop layout, and the decoupled monitor shares
-	// the same Prop value directly.
-	p := core.NewProp(pol)
 	c := &TaintCore{
 		ram:     ram.Data(),
 		ramBase: ramBase,
 		ramSize: ram.Size(),
 		bus:     bus,
-		lat:     p.L,
-		pol:     p.Pol,
-		def:     p.Def,
+		lat:     pol.L,
+		pol:     pol,
+		def:     pol.Default,
 
-		checkFetch:   p.CheckFetch,
-		fetchClear:   p.FetchClear,
-		checkBranch:  p.CheckBranch,
-		branchClear:  p.BranchClear,
-		checkMemAddr: p.CheckMemAddr,
-		memAddrClear: p.MemAddrClear,
-		hasRegions:   p.HasRegions,
+		checkFetch:   pol.Exec.CheckFetch,
+		fetchClear:   pol.Exec.Fetch,
+		checkBranch:  pol.Exec.CheckBranch,
+		branchClear:  pol.Exec.Branch,
+		checkMemAddr: pol.Exec.CheckMemAddr,
+		memAddrClear: pol.Exec.MemAddr,
+		hasRegions:   len(pol.Regions) > 0,
 
 		ic:      newICache(ram.Size()),
 		irqPoll: true,
@@ -239,7 +228,6 @@ func (c *TaintCore) trap(cause, tval, epc uint32) error {
 			v := core.NewViolation(c.lat, core.KindBranchClearance, c.mtvec.T, c.branchClear).
 				WithPC(epc).WithValue(c.mtvec.V)
 			if c.Obs != nil {
-				c.drainDec()
 				c.Obs.OnViolation(v, 0, 0)
 			}
 			return v
@@ -284,9 +272,6 @@ func (c *TaintCore) branchTagOK(t core.Tag) bool {
 func (c *TaintCore) branchViolation(t core.Tag, pc uint32, rs1, rs2 uint8) *core.Violation {
 	v := core.NewViolation(c.lat, core.KindBranchClearance, t, c.branchClear).WithPC(pc)
 	if c.Obs != nil {
-		// Decoupled mode: the monitor must finish replaying earlier events
-		// before the violation is recorded, or seq numbers would diverge.
-		c.drainDec()
 		c.Obs.SetInsn(pc, c.insnWord(pc))
 		var p1, p2 uint64
 		if rs1 != obs.RegNone {
@@ -319,7 +304,6 @@ func (c *TaintCore) addrViolation(t core.Tag, addr, pc uint32, base uint8) *core
 	v := core.NewViolation(c.lat, core.KindMemAddrClearance, t, c.memAddrClear).
 		WithPC(pc).WithAddr(addr)
 	if c.Obs != nil {
-		c.drainDec()
 		c.Obs.SetInsn(pc, c.insnWord(pc))
 		c.Obs.OnViolation(v, c.Obs.RegSource(base), 0)
 	}
@@ -334,16 +318,15 @@ func (c *TaintCore) fetchWord(off uint32) uint32 {
 }
 
 // foldFetchTag joins the four byte tags of an instruction word via the
-// shared propagation engine's fold (core.Fold4): all-equal short circuit,
-// LUB chain otherwise.
+// load path's fold (core.Fold4): all-equal short circuit, LUB chain
+// otherwise.
 func (c *TaintCore) foldFetchTag(b0, b1, b2, b3 core.TByte) core.Tag {
 	return core.Fold4(c.lat, b0, b1, b2, b3)
 }
 
 // fill decodes the word at RAM offset off into e together with its
-// fetch-tag summary: the slow half of the fetch, shared by both VP+ loops
-// and taken on a decode-cache miss (and on every fetch when the cache is off
-// or the PC is misaligned).
+// fetch-tag summary: the slow half of the fetch, taken on a decode-cache
+// miss (and on every fetch when the cache is off or the PC is misaligned).
 func (c *TaintCore) fill(e *icEntry, off uint32) {
 	b0, b1, b2, b3 := c.ram[off], c.ram[off+1], c.ram[off+2], c.ram[off+3]
 	w := uint32(b0.V) | uint32(b1.V)<<8 | uint32(b2.V)<<16 | uint32(b3.V)<<24
@@ -358,8 +341,8 @@ func (c *TaintCore) fill(e *icEntry, off uint32) {
 	e.inst, e.word, e.state = Decode(w), w, icValid
 }
 
-// fillMiss is the decode-cache miss path shared by both VP+ loops; see
-// Core.fillMiss, including why it must not be inlined.
+// fillMiss is the decode-cache miss path; see Core.fillMiss, including why
+// it must not be inlined.
 //
 //go:noinline
 func (c *TaintCore) fillMiss(off uint32, scratch *icEntry) *icEntry {
@@ -376,21 +359,12 @@ func (c *TaintCore) fillMiss(off uint32, scratch *icEntry) *icEntry {
 
 // Run executes up to max instructions; see Core.Run, whose loop structure
 // and pc/instret bracketing rule this mirrors, plus the clearance checks and
-// tag propagation. In decoupled mode every return is a sync point: the ring
-// is drained so callers observe final tag state; filtered mode runs its own
-// loop (runDecoupled).
+// tag propagation. It is the VP+'s only interpreter: tags propagate inline,
+// in the same switch that computes values.
 func (c *TaintCore) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus, err error) {
-	if d := c.dec; d != nil {
-		if !d.started {
-			c.startDecoupled()
-		}
-		if !d.fullEmit {
-			return c.runDecoupled(max, delay)
-		}
-	}
-	// One flag gates every per-retire hook, including replay mode's
-	// per-retire record; the flight recorder keeps its own guard.
-	hooked := c.dec != nil || c.Tracer != nil || c.Retire != nil || c.Obs != nil || c.Cov != nil
+	// One flag gates every per-retire hook; the flight recorder keeps its
+	// own guard.
+	hooked := c.Tracer != nil || c.Retire != nil || c.Obs != nil || c.Cov != nil
 	// storeChecks gates the outlined pre-write half of a store.
 	storeChecks := c.hasRegions || c.Obs != nil
 	start := c.Instret
@@ -566,7 +540,7 @@ func (c *TaintCore) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus,
 			ramOK := !c.ForceBusMem && a < c.ramSize && a+size <= c.ramSize
 			if storeChecks {
 				c.PC, c.Instret = pc, instret
-				err := c.storeChecks(i, addr, size, val, pc, w, ramOK)
+				err := c.storeChecks(i, addr, size, val, pc, w)
 				pc, instret = c.PC, c.Instret
 				if err != nil {
 					return c.exit(pc, instret, start, RunOK, err)
@@ -733,12 +707,9 @@ func (c *TaintCore) Run(max uint64, delay *kernel.Time) (n uint64, st RunStatus,
 	return c.exit(pc, instret, start, RunOK, nil)
 }
 
-// exit writes the loop's pc and instret back, drains the decoupled ring
-// (a no-op inline and in filtered mode, where the ring stays empty) and
-// forms Run's results.
+// exit writes the loop's pc and instret back and forms Run's results.
 func (c *TaintCore) exit(pc uint32, instret, start uint64, st RunStatus, err error) (uint64, RunStatus, error) {
 	c.PC, c.Instret = pc, instret
-	c.drainDec()
 	return instret - start, st, err
 }
 
@@ -757,13 +728,8 @@ func (c *TaintCore) fetchHooks(i Inst, pc, w uint32) {
 }
 
 // retireHooks runs the post-retire hooks for instruction i at pc, whose
-// executed word is w and successor next. In replay mode the monitor runs
-// them from the retire record instead.
+// executed word is w and successor next.
 func (c *TaintCore) retireHooks(i Inst, pc, w, next uint32) {
-	if c.dec != nil {
-		c.emitRetire(i, pc, w, next)
-		return
-	}
 	if c.Obs != nil {
 		c.observeStep(i, pc, w, next)
 	}
@@ -915,7 +881,6 @@ func (c *TaintCore) fetchViolation(pc, w uint32, t core.Tag) *core.Violation {
 	v := core.NewViolation(c.lat, core.KindFetchClearance, t, c.fetchClear).
 		WithPC(pc).WithValue(w)
 	if c.Obs != nil {
-		c.drainDec()
 		c.Obs.SetInsn(pc, w)
 		c.Obs.OnViolation(v, c.Obs.MemSource(pc), c.Obs.PCSource())
 	}
@@ -926,12 +891,6 @@ func (c *TaintCore) fetchViolation(pc, w uint32, t core.Tag) *core.Violation {
 // ForceBusMem) as a TLM read of size bytes, little-endian, zero-extended,
 // joining the byte tags.
 func (c *TaintCore) loadBus(addr, size uint32, delay *kernel.Time, pc uint32) (core.Word, error) {
-	if c.dec != nil {
-		// A peripheral may record input-classification events during the
-		// transaction; drain so they interleave with replayed events in
-		// program order.
-		c.drainDec()
-	}
 	p := &c.mmioTxn
 	*p = tlm.Payload{Cmd: tlm.Read, Addr: addr, Data: c.mmioBuf[:size], From: "cpu"}
 	c.bus.Transport(p, delay)
@@ -947,11 +906,11 @@ func (c *TaintCore) loadBus(addr, size uint32, delay *kernel.Time, pc uint32) (c
 	return core.W(v, t), nil
 }
 
-// storeChecks is the outlined pre-write half of an inline-mode store, run
-// when the policy has store regions or an observer is attached: the region
-// store clearance, then the observer's store event. w is the executing
-// store's word; ramOK reports whether the write takes the direct RAM path.
-func (c *TaintCore) storeChecks(i Inst, addr, size uint32, val core.Word, pc, w uint32, ramOK bool) error {
+// storeChecks is the outlined pre-write half of a store, run when the
+// policy has store regions or an observer is attached: the region store
+// clearance, then the observer's store event. w is the executing store's
+// word.
+func (c *TaintCore) storeChecks(i Inst, addr, size uint32, val core.Word, pc, w uint32) error {
 	if c.hasRegions {
 		if c.Obs != nil {
 			c.Obs.Checks.Store++
@@ -960,7 +919,6 @@ func (c *TaintCore) storeChecks(i Inst, addr, size uint32, val core.Word, pc, w 
 			if v, ok := err.(*core.Violation); ok {
 				v.PC = pc
 				if c.Obs != nil {
-					c.drainDec()
 					c.Obs.SetInsn(pc, w)
 					c.Obs.OnViolation(v, c.Obs.RegSource(i.Rs2), 0)
 				}
@@ -968,13 +926,10 @@ func (c *TaintCore) storeChecks(i Inst, addr, size uint32, val core.Word, pc, w 
 			return err
 		}
 	}
-	if c.Obs != nil && (c.dec == nil || !ramOK) {
+	if c.Obs != nil {
 		// Emitted here, not in observeStep: the bus write that follows may
 		// trigger a peripheral's output-clearance check, which links to this
-		// event via LastStore. In decoupled mode RAM-store events replay on
-		// the monitor instead; only MMIO stores fire inline, after a drain
-		// keeps the event order identical.
-		c.drainDec()
+		// event via LastStore.
 		c.Obs.SetInsn(pc, w)
 		c.Obs.OnStore(addr, size, i.Rs2, val)
 	}

@@ -14,7 +14,7 @@ import (
 // take effect right after that store retires, on every flavour. These tests
 // pin that per-boundary behaviour.
 
-// runLoopFlavours gives the three platform flavours under a no-check
+// runLoopFlavours gives the two platform flavours under a no-check
 // policy; only the control flow matters here, not the tags.
 func runLoopFlavours() []struct {
 	name string
@@ -28,7 +28,6 @@ func runLoopFlavours() []struct {
 	}{
 		{"vp", Config{}},
 		{"vpplus", Config{Policy: pol}},
-		{"vpplus-decoupled", Config{Policy: pol, DecoupledTaint: true}},
 	}
 }
 

@@ -33,9 +33,6 @@ var servedRoutes = []string{
 	"/api/v1/results/{key}",
 	"/api/v1/trace",
 	"/api/v1/", // the enveloped 404 catch-all
-	"/api/sessions",
-	"/api/sessions/{id}/timeseries",
-	"/api/sessions/{id}/events",
 	routeOther,
 }
 

@@ -97,15 +97,17 @@ func TestWritePrometheusValid(t *testing.T) {
 	}
 }
 
-// The decoupled taint monitor's statistics follow the _total convention:
-// monotone flows export as counters, instantaneous levels as gauges.
-func TestWritePrometheusDecoupledMetrics(t *testing.T) {
+// The scheduler's and flight recorder's statistics follow the _total
+// convention: monotone flows export as counters, instantaneous levels as
+// gauges.
+func TestWritePrometheusTotalSuffixConvention(t *testing.T) {
 	metrics := map[string]uint64{
-		"dift.ring_occupancy":   3,
-		"dift.stall_ns_total":   12345,
-		"dift.suppressed_total": 999,
-		"dift.live_regs":        2,
-		"dift.emitted_total":    500,
+		"serve.queued":           3,
+		"serve.completed_total":  12345,
+		"flight.ring_occupancy":  2,
+		"flight.captured_total":  999,
+		"flight.bundles_total":   5,
+		"sim.decode_cache_fills": 7,
 	}
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, metrics); err != nil {
@@ -116,15 +118,18 @@ func TestWritePrometheusDecoupledMetrics(t *testing.T) {
 		t.Fatalf("invalid exposition: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"# HELP vpdift_dift_ring_occupancy Decoupled taint-monitor statistic.",
-		"# TYPE vpdift_dift_ring_occupancy gauge",
-		"vpdift_dift_ring_occupancy 3",
-		"# TYPE vpdift_dift_live_regs gauge",
-		"# TYPE vpdift_dift_stall_ns_total counter",
-		"vpdift_dift_stall_ns_total 12345",
-		"# TYPE vpdift_dift_suppressed_total counter",
-		"vpdift_dift_suppressed_total 999",
-		"# TYPE vpdift_dift_emitted_total counter",
+		"# HELP vpdift_serve_queued Session-server scheduler statistic.",
+		"# TYPE vpdift_serve_queued gauge",
+		"vpdift_serve_queued 3",
+		"# TYPE vpdift_serve_completed_total counter",
+		"vpdift_serve_completed_total 12345",
+		"# HELP vpdift_flight_ring_occupancy Flight-recorder statistic.",
+		"# TYPE vpdift_flight_ring_occupancy gauge",
+		"# TYPE vpdift_flight_captured_total counter",
+		"vpdift_flight_captured_total 999",
+		"# TYPE vpdift_flight_bundles_total counter",
+		// Outside the two prefixes the suffix carries no meaning.
+		"# TYPE vpdift_sim_decode_cache_fills counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

@@ -387,13 +387,6 @@ func (sv *Server) Submit(cfg SessionConfig) error {
 	return nil
 }
 
-// Add registers a session and queues it for execution.
-//
-// Deprecated: Add is the PR 5 name; new code uses Submit (identical
-// behavior on today's Server — sessions now run on the bounded worker pool
-// rather than a goroutine each).
-func (sv *Server) Add(cfg SessionConfig) error { return sv.Submit(cfg) }
-
 // unregister removes a session from the registries (failed submit, DELETE).
 func (sv *Server) unregister(s *session) {
 	sv.mu.Lock()
@@ -701,8 +694,8 @@ func (sv *Server) finalize(s *session) {
 	}
 }
 
-// sessionInfo is the session JSON shape (legacy /api/sessions and the
-// "data" payload of the v1 session endpoints).
+// sessionInfo is the session JSON shape (the "data" payload of the v1
+// session endpoints).
 type sessionInfo struct {
 	ID       string `json:"id"`
 	State    string `json:"state"`
@@ -802,12 +795,6 @@ func (s *session) metrics() map[string]uint64 {
 //	GET    /api/v1/results/{key}                 result-store lookup by content hash
 //	GET    /api/v1/trace                         session lifecycles as a Chrome trace timeline
 //
-// Deprecated aliases of the PR 5 surface (raw shapes, Deprecation header):
-//
-//	GET /api/sessions                            session list as a bare JSON array
-//	GET /api/sessions/{id}/timeseries            sampler ring as JSONL (?format=csv)
-//	GET /api/sessions/{id}/events                SSE tail of the observer event ring
-//
 // Unknown v1 paths return an enveloped 404; known paths with a wrong method
 // return an enveloped 405 with an Allow header.
 func (sv *Server) Handler() http.Handler {
@@ -848,27 +835,11 @@ func (sv *Server) Handler() http.Handler {
 		writeError(w, http.StatusNotFound, "not_found", "no such v1 route: "+r.URL.Path)
 	})
 
-	// Deprecated PR 5 aliases: same raw response shapes, plus headers
-	// pointing migrators at the v1 successor.
-	handle("GET /api/sessions", deprecated("/api/v1/sessions", sv.handleSessions))
-	handle("GET /api/sessions/{id}/timeseries", deprecated("/api/v1/sessions/{id}/timeseries", sv.handleTimeseries))
-	handle("GET /api/sessions/{id}/events", deprecated("/api/v1/sessions/{id}/events", sv.handleEvents))
-
 	// Observability middleware: withRequestID (outer) mints/propagates the
 	// request ID — the only per-request allocation the server adds — and
 	// instrument (inner) does timing, status capture, RED counters and the
 	// request log without allocating.
 	return sv.withRequestID(sv.instrument(mux))
-}
-
-// deprecated wraps a legacy handler with the Deprecation header (RFC 9745
-// shape) and a successor-version link.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "@1767225600") // 2026-01-01, the PR 7 API cut
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // handleReadyz answers readiness probes. Liveness (/healthz) stays 200 for
@@ -953,14 +924,6 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	WriteHistogramFamilies(w, sv.metrics.histogramFamilies())
 }
 
-func (sv *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	infos := sv.sessionInfos()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(infos)
-}
-
 func (sv *Server) sessionInfos() []sessionInfo {
 	infos := make([]sessionInfo, 0, 4)
 	for _, s := range sv.all() {
@@ -970,44 +933,10 @@ func (sv *Server) sessionInfos() []sessionInfo {
 	return infos
 }
 
-func (sv *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
-	s := sv.get(r.PathValue("id"))
-	if s == nil {
-		http.NotFound(w, r)
-		return
-	}
-	if s.cfg.Sampler == nil {
-		http.Error(w, "session has no sampler", http.StatusNotFound)
-		return
-	}
-	// The sampler has its own lock; the session lock is not needed because
-	// the daemon thread only appends between kernel events.
-	if r.URL.Query().Get("format") == "csv" {
-		w.Header().Set("Content-Type", "text/csv")
-		s.cfg.Sampler.WriteCSV(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	s.cfg.Sampler.WriteJSONL(w)
-}
-
-// handleEvents tails the observer's provenance ring as server-sent events:
+// streamEvents tails the observer's provenance ring as server-sent events:
 // each taint event newer than the last delivered sequence number becomes one
 // `data:` frame of the event's JSON. The handler polls the ring — the
 // simulation cannot push without perturbing determinism.
-func (sv *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s := sv.get(r.PathValue("id"))
-	if s == nil {
-		http.NotFound(w, r)
-		return
-	}
-	if s.cfg.Platform.Observer() == nil {
-		http.Error(w, "session has no observer", http.StatusNotFound)
-		return
-	}
-	sv.streamEvents(w, r, s)
-}
-
 func (sv *Server) streamEvents(w http.ResponseWriter, r *http.Request, s *session) {
 	fl, ok := w.(http.Flusher)
 	if !ok {

@@ -47,18 +47,27 @@ func (p *stubPlatform) MetricsSnapshotInto(dst map[string]uint64) {
 func (p *stubPlatform) Observer() *obs.Observer { return p.o }
 func (p *stubPlatform) Exited() (bool, uint32)  { return p.exited, 0 }
 
+// listSessions fetches the enveloped v1 session list.
+func listSessions(t *testing.T, ts *httptest.Server) []sessionInfo {
+	t.Helper()
+	r := doJSON(t, http.MethodGet, ts.URL+"/api/v1/sessions", nil)
+	var list struct {
+		Sessions []sessionInfo `json:"sessions"`
+	}
+	if r.status != http.StatusOK {
+		t.Fatalf("GET /api/v1/sessions: status %d", r.status)
+	}
+	if err := json.Unmarshal(r.Data, &list); err != nil {
+		t.Fatal(err)
+	}
+	return list.Sessions
+}
+
 func waitDone(t *testing.T, ts *httptest.Server, id string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/api/sessions")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var infos []sessionInfo
-		json.NewDecoder(resp.Body).Decode(&infos)
-		resp.Body.Close()
-		for _, in := range infos {
+		for _, in := range listSessions(t, ts) {
 			if in.ID == id && in.Done {
 				return
 			}
@@ -77,7 +86,7 @@ func TestServerEndpoints(t *testing.T) {
 	s.TakeSample(1000, fc.snapshot)
 	fc.instret = 9
 	s.TakeSample(2000, fc.snapshot)
-	if err := sv.Add(SessionConfig{
+	if err := sv.Submit(SessionConfig{
 		ID:       "alpha",
 		Platform: &stubPlatform{},
 		Sampler:  s,
@@ -85,7 +94,7 @@ func TestServerEndpoints(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sv.Add(SessionConfig{ID: "alpha", Platform: &stubPlatform{}}); err == nil {
+	if err := sv.Submit(SessionConfig{ID: "alpha", Platform: &stubPlatform{}}); err == nil {
 		t.Fatal("duplicate session ID accepted")
 	}
 	ts := httptest.NewServer(sv.Handler())
@@ -118,21 +127,15 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("/metrics invalid: %v\n%s", err, text)
 	}
 
-	// /api/sessions
-	resp, err = http.Get(ts.URL + "/api/sessions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var infos []sessionInfo
-	json.NewDecoder(resp.Body).Decode(&infos)
-	resp.Body.Close()
+	// /api/v1/sessions
+	infos := listSessions(t, ts)
 	if len(infos) != 1 || infos[0].ID != "alpha" || !infos[0].Done ||
 		infos[0].SimNs != 5_000_000 || infos[0].Samples != 2 {
-		t.Errorf("/api/sessions = %+v", infos)
+		t.Errorf("/api/v1/sessions = %+v", infos)
 	}
 
-	// /api/sessions/{id}/timeseries
-	resp, err = http.Get(ts.URL + "/api/sessions/alpha/timeseries")
+	// /api/v1/sessions/{id}/timeseries, streamed raw
+	resp, err = http.Get(ts.URL + "/api/v1/sessions/alpha/timeseries?format=jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +145,7 @@ func TestServerEndpoints(t *testing.T) {
 	if len(lines) != 2 || !strings.Contains(lines[0], `"t_ns":1000`) {
 		t.Errorf("timeseries = %q", body)
 	}
-	resp, err = http.Get(ts.URL + "/api/sessions/alpha/timeseries?format=csv")
+	resp, err = http.Get(ts.URL + "/api/v1/sessions/alpha/timeseries?format=csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +155,14 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("csv timeseries = %q", body)
 	}
 
-	// Unknown session and sampler-less session 404.
+	// Unknown session: an enveloped 404.
 	for _, path := range []string{
-		"/api/sessions/nope/timeseries",
-		"/api/sessions/nope/events",
+		"/api/v1/sessions/nope/timeseries",
+		"/api/v1/sessions/nope/events",
 	} {
-		resp, err = http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 404 {
-			t.Errorf("%s: status %d, want 404", path, resp.StatusCode)
+		r := doJSON(t, http.MethodGet, ts.URL+path, nil)
+		if r.status != 404 || r.Error == nil || r.Error.Code != "not_found" {
+			t.Errorf("%s: status %d error %+v, want enveloped 404", path, r.status, r.Error)
 		}
 	}
 }
@@ -171,7 +170,7 @@ func TestServerEndpoints(t *testing.T) {
 func TestServerMetricsMonotone(t *testing.T) {
 	sv := NewServer()
 	defer sv.Close()
-	if err := sv.Add(SessionConfig{ID: "run", Platform: &stubPlatform{}}); err != nil {
+	if err := sv.Submit(SessionConfig{ID: "run", Platform: &stubPlatform{}}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(sv.Handler())
@@ -223,7 +222,7 @@ func TestServerEventsSSE(t *testing.T) {
 
 	sv := NewServer()
 	defer sv.Close()
-	if err := sv.Add(SessionConfig{
+	if err := sv.Submit(SessionConfig{
 		ID:       "sse",
 		Platform: &stubPlatform{o: o, exitAt: 1},
 		Horizon:  1_000_000,
@@ -234,7 +233,7 @@ func TestServerEventsSSE(t *testing.T) {
 	defer ts.Close()
 	waitDone(t, ts, "sse")
 
-	resp, err := http.Get(ts.URL + "/api/sessions/sse/events")
+	resp, err := http.Get(ts.URL + "/api/v1/sessions/sse/events")
 	if err != nil {
 		t.Fatal(err)
 	}

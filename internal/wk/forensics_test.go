@@ -14,7 +14,9 @@ import (
 // TestForensicBundleEndsAtViolation runs every applicable attack with the
 // default (recorder-on) platform and checks the acceptance invariant: each
 // detected attack yields a validating bundle whose trace window ends at the
-// violating instruction.
+// violating instruction. A repeat run must freeze a bit-identical bundle —
+// trace window, register/tag file, memory hexdumps and violation headline
+// (host-volatile metrics are the one excluded field).
 func TestForensicBundleEndsAtViolation(t *testing.T) {
 	for _, a := range Suite() {
 		a := a
@@ -48,66 +50,22 @@ func TestForensicBundleEndsAtViolation(t *testing.T) {
 				t.Fatalf("bundle violation headline = %+v, want pc %s",
 					parsed.Violation, flight.Hex32(v.PC))
 			}
-		})
-	}
-}
 
-// TestForensicParityInlineDecoupled holds the inline and decoupled-monitor
-// platforms to bit-identical forensics: the same attack must freeze the same
-// trace window, the same register/tag file, the same memory hexdumps and the
-// same violation headline, regardless of which core organization ran it.
-// (Host-volatile metrics are the one excluded field.)
-func TestForensicParityInlineDecoupled(t *testing.T) {
-	for _, a := range Suite() {
-		a := a
-		if !a.Applicable() {
-			continue
-		}
-		t.Run(fmt.Sprintf("attack-%d", a.Num), func(t *testing.T) {
-			resI, vI, bI, err := RunForensic(&a, true, RunMode{})
+			_, _, r, err := RunForensic(&a, true, RunMode{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			resD, vD, bD, err := RunForensic(&a, true, RunMode{Decoupled: true})
-			if err != nil {
-				t.Fatal(err)
+			if r == nil {
+				t.Fatal("repeat run produced no bundle")
 			}
-			if resI != Detected || resD != Detected {
-				t.Fatalf("verdicts diverge: inline=%v decoupled=%v", resI, resD)
+			if b.Reason != r.Reason || b.PC != r.PC || b.Instret != r.Instret ||
+				b.SimNs != r.SimNs || b.Captured != r.Captured || b.Dropped != r.Dropped {
+				t.Errorf("bundle headers diverge on repeat: reason=%s/%s pc=%s/%s instret=%d/%d",
+					b.Reason, r.Reason, b.PC, r.PC, b.Instret, r.Instret)
 			}
-			if vI.PC != vD.PC || vI.Kind != vD.Kind {
-				t.Fatalf("violations diverge: inline=%v decoupled=%v", vI, vD)
-			}
-			if bI == nil || bD == nil {
-				t.Fatalf("missing bundle: inline=%v decoupled=%v", bI != nil, bD != nil)
-			}
-			if bI.Reason != bD.Reason || bI.PC != bD.PC ||
-				bI.Instret != bD.Instret || bI.SimNs != bD.SimNs ||
-				bI.Captured != bD.Captured || bI.Dropped != bD.Dropped {
-				t.Errorf("bundle headers diverge:\ninline:    reason=%s pc=%s instret=%d sim=%d cap=%d drop=%d\ndecoupled: reason=%s pc=%s instret=%d sim=%d cap=%d drop=%d",
-					bI.Reason, bI.PC, bI.Instret, bI.SimNs, bI.Captured, bI.Dropped,
-					bD.Reason, bD.PC, bD.Instret, bD.SimNs, bD.Captured, bD.Dropped)
-			}
-			if !reflect.DeepEqual(bI.Regs, bD.Regs) {
-				t.Errorf("register/tag files diverge:\ninline:    %+v\ndecoupled: %+v", bI.Regs, bD.Regs)
-			}
-			if !reflect.DeepEqual(bI.Trace, bD.Trace) {
-				for k := range bI.Trace {
-					if k < len(bD.Trace) && !reflect.DeepEqual(bI.Trace[k], bD.Trace[k]) {
-						t.Errorf("trace record %d diverges:\ninline:    %+v\ndecoupled: %+v",
-							k, bI.Trace[k], bD.Trace[k])
-						break
-					}
-				}
-				t.Fatalf("trace windows diverge (inline %d records, decoupled %d)",
-					len(bI.Trace), len(bD.Trace))
-			}
-			if !reflect.DeepEqual(bI.Mem, bD.Mem) {
-				t.Errorf("memory windows diverge")
-			}
-			if !reflect.DeepEqual(bI.Violation, bD.Violation) {
-				t.Errorf("violation headlines diverge:\ninline:    %+v\ndecoupled: %+v",
-					bI.Violation, bD.Violation)
+			if !reflect.DeepEqual(b.Regs, r.Regs) || !reflect.DeepEqual(b.Trace, r.Trace) ||
+				!reflect.DeepEqual(b.Mem, r.Mem) || !reflect.DeepEqual(b.Violation, r.Violation) {
+				t.Errorf("bundle body diverges on repeat")
 			}
 		})
 	}
@@ -115,7 +73,7 @@ func TestForensicParityInlineDecoupled(t *testing.T) {
 
 // TestForensicRecorderInvariance proves the always-on recorder is a pure
 // observer: with the recorder disabled, every attack must reach the exact
-// same verdict, violating PC and violation kind in both core organizations.
+// same verdict, violating PC and violation kind.
 func TestForensicRecorderInvariance(t *testing.T) {
 	for _, a := range Suite() {
 		a := a
@@ -123,27 +81,25 @@ func TestForensicRecorderInvariance(t *testing.T) {
 			continue
 		}
 		t.Run(fmt.Sprintf("attack-%d", a.Num), func(t *testing.T) {
-			for _, decoupled := range []bool{false, true} {
-				resOn, vOn, bOn, err := RunForensic(&a, true, RunMode{Decoupled: decoupled})
-				if err != nil {
-					t.Fatal(err)
-				}
-				resOff, vOff, bOff, err := RunForensic(&a, true, RunMode{Decoupled: decoupled, FlightOff: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resOn != resOff {
-					t.Fatalf("decoupled=%v: verdict diverges: on=%v off=%v", decoupled, resOn, resOff)
-				}
-				if vOn.PC != vOff.PC || vOn.Kind != vOff.Kind || vOn.Addr != vOff.Addr {
-					t.Fatalf("decoupled=%v: violation diverges: on=%v off=%v", decoupled, vOn, vOff)
-				}
-				if bOn == nil {
-					t.Fatalf("decoupled=%v: recorder on produced no bundle", decoupled)
-				}
-				if bOff != nil {
-					t.Fatalf("decoupled=%v: recorder off produced a bundle", decoupled)
-				}
+			resOn, vOn, bOn, err := RunForensic(&a, true, RunMode{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resOff, vOff, bOff, err := RunForensic(&a, true, RunMode{FlightOff: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resOn != resOff {
+				t.Fatalf("verdict diverges: on=%v off=%v", resOn, resOff)
+			}
+			if vOn.PC != vOff.PC || vOn.Kind != vOff.Kind || vOn.Addr != vOff.Addr {
+				t.Fatalf("violation diverges: on=%v off=%v", vOn, vOff)
+			}
+			if bOn == nil {
+				t.Fatal("recorder on produced no bundle")
+			}
+			if bOff != nil {
+				t.Fatal("recorder off produced a bundle")
 			}
 		})
 	}

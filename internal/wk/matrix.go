@@ -54,11 +54,6 @@ type Matrix struct {
 // diagnostic — but any infrastructure error (assembler, platform) does.
 func RunMatrix() (*Matrix, error) { return runMatrix(RunMode{}) }
 
-// RunMatrixDecoupled is RunMatrix on the decoupled-taint-monitor platform.
-// Its result must be identical to RunMatrix — the Table I verdicts may not
-// depend on the monitor organization.
-func RunMatrixDecoupled() (*Matrix, error) { return runMatrix(RunMode{Decoupled: true}) }
-
 // RunMatrixCover is RunMatrix with the coverage layer attached: every
 // applicable attack additionally yields its coverage snapshot, and each
 // matrix row carries the attack's dynamic edge count. Snapshots parallel

@@ -621,14 +621,12 @@ func RunObserved(a *Attack, dift bool, o *obs.Observer) (Result, *core.Violation
 }
 
 // RunMode configures how an attack's platform executes: an optional
-// observer, the inline (default) or decoupled taint-monitor organization,
-// whether the always-on flight recorder is disabled, and whether the
-// coverage-observability layer is attached. Either way the verdict and
-// violation must be identical — the decoupled and recorder parity suites
-// hold RunWithMode to that.
+// observer, whether the always-on flight recorder is disabled, and whether
+// the coverage-observability layer is attached. Either way the verdict and
+// violation must be identical — the recorder parity suite holds
+// RunWithMode to that.
 type RunMode struct {
 	Obs       *obs.Observer
-	Decoupled bool
 	FlightOff bool
 	Cover     bool
 }
@@ -669,7 +667,7 @@ func runFull(a *Attack, dift bool, mode RunMode) (Result, *core.Violation, *flig
 	if dift {
 		pol = Policy(img)
 	}
-	cfg := soc.Config{Policy: pol, Obs: mode.Obs, DecoupledTaint: mode.Decoupled, FlightOff: mode.FlightOff}
+	cfg := soc.Config{Policy: pol, Obs: mode.Obs, FlightOff: mode.FlightOff}
 	if mode.Cover {
 		cfg.Cover = cover.New()
 	}

@@ -380,26 +380,20 @@ type Platform struct {
 }
 
 // Option configures NewPlatform. Options are applied in order; later options
-// override earlier ones. The deprecated Config struct also satisfies Option.
-type Option interface {
-	applyOption(*soc.Config)
-}
-
-type optionFunc func(*soc.Config)
-
-func (f optionFunc) applyOption(c *soc.Config) { f(c) }
+// override earlier ones.
+type Option func(*soc.Config)
 
 // WithPolicy enables DIFT (the VP+ flavour) under the given policy. Without
 // it the platform is the untracked baseline VP.
 func WithPolicy(p *Policy) Option {
-	return optionFunc(func(c *soc.Config) { c.Policy = p })
+	return func(c *soc.Config) { c.Policy = p }
 }
 
 // WithObserver attaches an observability recorder to every layer of the
 // platform: core hooks, peripheral I/O, bus monitors, and load-time
 // classification roots.
 func WithObserver(o *Observer) Option {
-	return optionFunc(func(c *soc.Config) { c.Obs = o })
+	return func(c *soc.Config) { c.Obs = o }
 }
 
 // WithTrace attaches the simulation-side observability layer: kernel/bus
@@ -413,7 +407,7 @@ func WithObserver(o *Observer) Option {
 //	}
 //	pl, err := vpdift.NewPlatform(vpdift.WithPolicy(pol), vpdift.WithTrace(tr))
 func WithTrace(t *Trace) Option {
-	return optionFunc(func(c *soc.Config) { c.Trace = t })
+	return func(c *soc.Config) { c.Trace = t }
 }
 
 // WithCoverage attaches the coverage-observability layer: guest block/edge
@@ -425,7 +419,7 @@ func WithTrace(t *Trace) Option {
 //	...
 //	cov.Audit.WriteReport(os.Stdout)
 func WithCoverage(cv *Cover) Option {
-	return optionFunc(func(c *soc.Config) { c.Cover = cv })
+	return func(c *soc.Config) { c.Cover = cv }
 }
 
 // Scale selects a platform sizing preset (RAM and TLM quantum).
@@ -444,7 +438,7 @@ const (
 // WithScale applies a sizing preset. Individual WithRAMSize / WithQuantum
 // options applied after it still override the preset.
 func WithScale(s Scale) Option {
-	return optionFunc(func(c *soc.Config) {
+	return func(c *soc.Config) {
 		switch s {
 		case ScaleSmall:
 			c.RAMSize, c.Quantum = 1<<20, 1024
@@ -453,44 +447,34 @@ func WithScale(s Scale) Option {
 		default:
 			c.RAMSize, c.Quantum = soc.DefaultRAMSize, soc.DefaultQuantum
 		}
-	})
+	}
 }
 
 // WithRAMSize overrides the RAM size in bytes.
 func WithRAMSize(bytes uint32) Option {
-	return optionFunc(func(c *soc.Config) { c.RAMSize = bytes })
+	return func(c *soc.Config) { c.RAMSize = bytes }
 }
 
 // WithQuantum overrides the TLM quantum (instructions between kernel
 // synchronizations).
 func WithQuantum(instructions uint64) Option {
-	return optionFunc(func(c *soc.Config) { c.Quantum = instructions })
+	return func(c *soc.Config) { c.Quantum = instructions }
 }
 
 // WithInstrTime overrides the modeled per-instruction time.
 func WithInstrTime(t Time) Option {
-	return optionFunc(func(c *soc.Config) { c.InstrTime = t })
+	return func(c *soc.Config) { c.InstrTime = t }
 }
 
 // WithTLMMemory routes every VP+ data access through full TLM transactions
 // instead of the direct memory path (the paper's memory organization).
 func WithTLMMemory() Option {
-	return optionFunc(func(c *soc.Config) { c.TaintMemViaTLM = true })
+	return func(c *soc.Config) { c.TaintMemViaTLM = true }
 }
 
 // WithoutDecodeCache disables the predecoded-instruction cache (ablation).
 func WithoutDecodeCache() Option {
-	return optionFunc(func(c *soc.Config) { c.NoDecodeCache = true })
-}
-
-// WithDecoupledTaint runs the VP+ taint monitor decoupled: the ISS front end
-// retires instructions at near-VP speed and a parallel monitor goroutine
-// replays tag propagation from a lock-free retire-record ring, stalling the
-// ISS only at clearance and sync points. Detection verdicts, violations and
-// final tag state are identical to the (default) inline mode. No effect on
-// the baseline VP.
-func WithDecoupledTaint() Option {
-	return optionFunc(func(c *soc.Config) { c.DecoupledTaint = true })
+	return func(c *soc.Config) { c.NoDecodeCache = true }
 }
 
 // WithFlightRecorder attaches a specific flight recorder — typically to
@@ -504,13 +488,13 @@ func WithDecoupledTaint() Option {
 // Every platform carries a default 4096-entry recorder even without this
 // option; use WithoutFlightRecorder to opt out entirely.
 func WithFlightRecorder(r *FlightRecorder) Option {
-	return optionFunc(func(c *soc.Config) { c.Flight, c.FlightOff = r, false })
+	return func(c *soc.Config) { c.Flight, c.FlightOff = r, false }
 }
 
 // WithoutFlightRecorder disables the always-on flight recorder. The hot
 // loops then skip capture entirely; LastForensics and Snapshot return nil.
 func WithoutFlightRecorder() Option {
-	return optionFunc(func(c *soc.Config) { c.Flight, c.FlightOff = nil, true })
+	return func(c *soc.Config) { c.Flight, c.FlightOff = nil, true }
 }
 
 // WithTelemetry attaches a live-metrics sampler: every Every of simulated
@@ -522,54 +506,7 @@ func WithoutFlightRecorder() Option {
 //	...
 //	smp.WriteJSONL(f)
 func WithTelemetry(s *Sampler) Option {
-	return optionFunc(func(c *soc.Config) { c.Telemetry = s })
-}
-
-// Config parameterizes platform construction as one struct literal.
-//
-// Deprecated: pass functional options to NewPlatform instead —
-// NewPlatform(WithPolicy(pol), WithObserver(o)). Config implements Option,
-// so existing NewPlatform(Config{...}) calls keep compiling; note that it
-// assigns every field and therefore overrides any option applied before it.
-type Config struct {
-	// Policy enables DIFT (VP+) when non-nil.
-	Policy *Policy
-	// RAMSize in bytes; 0 means the default (8 MiB).
-	RAMSize uint32
-	// Quantum in instructions; 0 means the default (4096).
-	Quantum uint64
-	// InstrTime per instruction; 0 means the default (10 ns).
-	InstrTime Time
-	// TaintMemViaTLM routes VP+ data accesses through full TLM transactions.
-	TaintMemViaTLM bool
-	// DecoupledTaint runs the VP+ taint monitor on a parallel goroutine.
-	DecoupledTaint bool
-	// NoDecodeCache disables the predecoded-instruction cache.
-	NoDecodeCache bool
-	// Obs attaches an observability recorder.
-	Obs *Observer
-	// Trace attaches the simulation-side observability layer.
-	Trace *Trace
-	// Cover attaches the coverage-observability layer.
-	Cover *Cover
-	// Telemetry attaches a live-metrics sampler.
-	Telemetry *Sampler
-}
-
-func (cfg Config) applyOption(c *soc.Config) {
-	*c = soc.Config{
-		Policy:         cfg.Policy,
-		RAMSize:        cfg.RAMSize,
-		Quantum:        cfg.Quantum,
-		InstrTime:      cfg.InstrTime,
-		TaintMemViaTLM: cfg.TaintMemViaTLM,
-		DecoupledTaint: cfg.DecoupledTaint,
-		NoDecodeCache:  cfg.NoDecodeCache,
-		Obs:            cfg.Obs,
-		Trace:          cfg.Trace,
-		Cover:          cfg.Cover,
-		Telemetry:      cfg.Telemetry,
-	}
+	return func(c *soc.Config) { c.Telemetry = s }
 }
 
 // NewPlatform builds a virtual prototype. With no WithPolicy option it is
@@ -577,7 +514,7 @@ func (cfg Config) applyOption(c *soc.Config) {
 func NewPlatform(opts ...Option) (*Platform, error) {
 	var cfg soc.Config
 	for _, o := range opts {
-		o.applyOption(&cfg)
+		o(&cfg)
 	}
 	pl, err := soc.New(cfg)
 	if err != nil {
